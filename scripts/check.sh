@@ -9,8 +9,10 @@
 # src/governor/, src/filter/, and src/fusion/, then Release-mode
 # builds of the filter hot-loop and adaptive-servo benchmarks,
 # refreshing BENCH_filter_hotpath.json and BENCH_adaptive.json at the
-# repo root. See docs/runtime.md, docs/perf.md, docs/observability.md,
-# docs/adaptive.md, and docs/fusion.md.
+# repo root, then the end-to-end benchmark's own tests (every workload
+# at tiny size; see e2ebench/README.md). See docs/runtime.md,
+# docs/perf.md, docs/observability.md, docs/adaptive.md, and
+# docs/fusion.md.
 #
 # Env knobs:
 #   JOBS            parallel build jobs (default: nproc)
@@ -19,6 +21,7 @@
 #   DKF_ASAN=0      skip the address+UB sanitizer stage
 #   DKF_COVERAGE=0  skip the coverage-gate stage
 #   DKF_BENCH=0     skip the Release benchmark stage
+#   DKF_E2E=0       skip the end-to-end benchmark test stage
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,7 +56,7 @@ else
   cmake --build "build-${SANITIZE//,/-}" -j "$JOBS" \
     --target worker_pool_test sharded_engine_test golden_trace_test \
              subscription_engine_test serve_golden_test \
-             fleet_equivalence_test fleet_churn_test \
+             fleet_equivalence_test fleet_churn_test fleet_answer_test \
              governor_test governor_chaos_test adaptive_scenarios_test \
              fusion_chaos_test
   "./build-${SANITIZE//,/-}/tests/worker_pool_test"
@@ -63,6 +66,7 @@ else
   "./build-${SANITIZE//,/-}/tests/serve_golden_test"
   "./build-${SANITIZE//,/-}/tests/fleet_equivalence_test"
   "./build-${SANITIZE//,/-}/tests/fleet_churn_test"
+  "./build-${SANITIZE//,/-}/tests/fleet_answer_test"
   "./build-${SANITIZE//,/-}/tests/governor_test"
   "./build-${SANITIZE//,/-}/tests/governor_chaos_test"
   "./build-${SANITIZE//,/-}/tests/adaptive_scenarios_test"
@@ -83,7 +87,7 @@ else
              metrics_registry_test trace_sink_test golden_trace_test \
              obs_property_test corruption_fuzz_test \
              subscription_engine_test serve_golden_test \
-             fleet_equivalence_test fleet_churn_test \
+             fleet_equivalence_test fleet_churn_test fleet_answer_test \
              governor_test governor_chaos_test \
              adaptive_property_test adaptive_scenarios_test \
              fusion_engine_test fusion_chaos_test fusion_checkpoint_test
@@ -102,6 +106,7 @@ else
   # bookkeeping are exactly the new pointer/vector churn to chew on.
   ./build-asan/tests/fleet_equivalence_test
   ./build-asan/tests/fleet_churn_test
+  ./build-asan/tests/fleet_answer_test
   # The governor's per-epoch allocation scratch and the mid-stream
   # reconfigure spills are fresh allocation churn for ASan.
   ./build-asan/tests/governor_test
@@ -129,7 +134,7 @@ else
              stream_manager_test source_server_test simulation_test \
              confidence_test energy_model_test \
              subscription_engine_test serve_golden_test \
-             fleet_equivalence_test fleet_churn_test \
+             fleet_equivalence_test fleet_churn_test fleet_answer_test \
              governor_test governor_chaos_test \
              kalman_filter_test fast_path_test extended_kalman_filter_test \
              steady_state_test recursive_least_squares_test \
@@ -144,7 +149,7 @@ else
            stream_manager_test source_server_test simulation_test \
            confidence_test energy_model_test \
            subscription_engine_test serve_golden_test \
-           fleet_equivalence_test fleet_churn_test \
+           fleet_equivalence_test fleet_churn_test fleet_answer_test \
            governor_test governor_chaos_test \
            kalman_filter_test fast_path_test extended_kalman_filter_test \
            steady_state_test recursive_least_squares_test \
@@ -174,6 +179,16 @@ else
   #   scripts/bench_compare.py <old> BENCH_filter_hotpath.json
   cat BENCH_filter_hotpath.json
   cat BENCH_adaptive.json
+fi
+
+if [[ "${DKF_E2E:-1}" == "0" ]]; then
+  echo "== e2ebench stage skipped (DKF_E2E=0) =="
+else
+  echo "== e2ebench: the end-to-end benchmark's own tests =="
+  # Builds the benchmark (Release) into $CARGO_TARGET_DIR/e2ebench, or
+  # .bench_build/e2ebench, and runs every workload at tiny size,
+  # untraced and traced, plus a corrupted-answer run that must fail.
+  python3 e2ebench/test_e2ebench.py
 fi
 
 echo "== all checks passed =="

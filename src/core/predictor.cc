@@ -10,17 +10,6 @@ Result<KalmanPredictor> KalmanPredictor::Create(const StateModel& model) {
   return KalmanPredictor(model.name, std::move(filter_or).value());
 }
 
-std::optional<Matrix> KalmanPredictor::PredictedCovariance() const {
-  // State uncertainty projected into measurement space: H P H^T,
-  // computed as the innovation covariance minus R. (Deliberately excludes
-  // R: this is the uncertainty of the *answer*, not of a hypothetical new
-  // sensor reading.)
-  Matrix projected = filter_.InnovationCovariance();
-  projected -= filter_.measurement_noise();
-  projected.Symmetrize();
-  return projected;
-}
-
 bool KalmanPredictor::StateEquals(const Predictor& other) const {
   const auto* peer = dynamic_cast<const KalmanPredictor*>(&other);
   return peer != nullptr && filter_.StateEquals(peer->filter_);

@@ -130,7 +130,9 @@ class KalmanPredictor : public Predictor {
   Status Update(const Vector& value) override {
     return filter_.Correct(value);
   }
-  std::optional<Matrix> PredictedCovariance() const override;
+  std::optional<Matrix> PredictedCovariance() const override {
+    return filter_.ProjectedCovariance();
+  }
   Result<Snapshot> ExportState() const override {
     return Snapshot{filter_.state(), filter_.covariance(), filter_.step()};
   }

@@ -202,16 +202,9 @@ Status StreamManager::RemoveQuery(int query_id) {
         "aggregate members are removed via RemoveAggregateQuery");
   }
   // Find the query's source before removal so we can relax it after.
-  int source_id = -1;
-  for (int candidate : registry_.ActiveSources()) {
-    for (const ContinuousQuery& query :
-         registry_.QueriesForSource(candidate)) {
-      if (query.id == query_id) source_id = candidate;
-    }
-  }
+  DKF_ASSIGN_OR_RETURN(const int source_id, registry_.QuerySource(query_id));
   DKF_RETURN_IF_ERROR(registry_.RemoveQuery(query_id));
-  if (source_id >= 0) return ReconfigureSource(source_id);
-  return Status::OK();
+  return ReconfigureSource(source_id);
 }
 
 Status StreamManager::SubmitAggregateQuery(
@@ -366,16 +359,10 @@ Status StreamManager::SubmitFusedQuery(const FusedQuery& query) {
 
 Status StreamManager::RemoveFusedQuery(int query_id) {
   // Find the query's group before removal so we can relax it after.
-  int group_id = -1;
-  for (int candidate : registry_.ActiveGroups()) {
-    for (const FusedQuery& query :
-         registry_.FusedQueriesForGroup(candidate)) {
-      if (query.id == query_id) group_id = candidate;
-    }
-  }
+  DKF_ASSIGN_OR_RETURN(const int group_id,
+                       registry_.FusedQueryGroup(query_id));
   DKF_RETURN_IF_ERROR(registry_.RemoveFusedQuery(query_id));
-  if (group_id >= 0) return ReconfigureFusionGroup(group_id);
-  return Status::OK();
+  return ReconfigureFusionGroup(group_id);
 }
 
 Result<Vector> StreamManager::AnswerFused(int group_id) const {
@@ -393,7 +380,7 @@ Result<bool> StreamManager::fused_degraded(int group_id) const {
 
 Status StreamManager::ReconfigureFusionGroup(int group_id) {
   double effective;
-  if (registry_.FusedQueriesForGroup(group_id).empty()) {
+  if (!registry_.HasFusedQueries(group_id)) {
     auto base_or = fusion_.group_base_delta(group_id);
     if (!base_or.ok()) return base_or.status();
     effective = base_or.value();

@@ -50,6 +50,18 @@ Status ValidateOptions(const KalmanFilterOptions& options) {
 
 }  // namespace
 
+Matrix ProjectCovariance(const Matrix& p, const Matrix& h, const Matrix& r) {
+  // Same kernel chain as InnovationCovariance, then -R and Symmetrize.
+  Matrix ph_t;
+  MultiplyTransposedInto(p, h, &ph_t);
+  Matrix projected;
+  MultiplyInto(h, ph_t, &projected);
+  AddScaledInto(projected, r, 1.0, &projected);
+  projected -= r;
+  projected.Symmetrize();
+  return projected;
+}
+
 KalmanFilter::KalmanFilter(KalmanFilterOptions options)
     : options_(std::move(options)),
       x_(options_.initial_state),

@@ -70,6 +70,15 @@ struct KalmanFilterOptions {
   double steady_state_tolerance = 0.0;
 };
 
+/// H P H^T: covariance `p` projected through measurement map `h`, the
+/// uncertainty of an answer H x. Deliberately excludes R — this is the
+/// uncertainty of the answer, not of a hypothetical new sensor reading —
+/// yet computes it as the innovation covariance (H P H^T + R) minus R,
+/// then symmetrizes. The `+R -R` pair rounds, so it is not a no-op: every
+/// confidence answer (per-source predictors, fusion posteriors, batched
+/// fleet lanes) goes through this one chain so they all round alike.
+Matrix ProjectCovariance(const Matrix& p, const Matrix& h, const Matrix& r);
+
 /// Discrete Kalman filter over double-valued states.
 ///
 /// Usage per tick: call Predict() once (propagates the estimate through
@@ -122,6 +131,13 @@ class KalmanFilter {
 
   /// Innovation covariance S = H P H^T + R at the current state.
   Matrix InnovationCovariance() const;
+
+  /// Uncertainty of PredictedMeasurement(): ProjectCovariance of the
+  /// current P through H, with this filter's R.
+  Matrix ProjectedCovariance() const {
+    return ProjectCovariance(p_, options_.measurement,
+                             options_.measurement_noise);
+  }
 
   /// Normalized innovation squared y^T S^{-1} y for measurement z — the
   /// chi-squared consistency statistic used by outlier detection, model

@@ -101,6 +101,27 @@ std::string ModelKey(const StateModel& model) {
   return key;
 }
 
+/// out = a x for row-major `a` (rows x cols): flat MultiplyInto(Matrix,
+/// Vector) and Matrix::operator*(Vector) — plain ascending sums, no
+/// zero-skip.
+void MultiplyFlat(const double* a, const double* x, size_t rows, size_t cols,
+                  double* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double* a_row = a + r * cols;
+    double sum = 0.0;
+    for (size_t c = 0; c < cols; ++c) sum += a_row[c] * x[c];
+    out[r] = sum;
+  }
+}
+
+bool AllFinite(const double* v, size_t count) {
+  bool finite = true;
+  for (size_t i = 0; i < count; ++i) {
+    if (!std::isfinite(v[i])) finite = false;
+  }
+  return finite;
+}
+
 void FlattenMatrix(const Matrix& m, std::vector<double>* out) {
   out->resize(m.rows() * m.cols());
   if (!out->empty()) {
@@ -127,9 +148,7 @@ Result<int> FleetEngine::GroupFor(const StateModel& model) {
   group->n = model.options.initial_state.size();
   group->m = model.options.measurement.rows();
   DKF_ASSIGN_OR_RETURN(KalmanPredictor replay, KalmanPredictor::Create(model));
-  DKF_ASSIGN_OR_RETURN(KalmanPredictor loaner, KalmanPredictor::Create(model));
   group->replay = std::move(replay);
-  group->loaner = std::move(loaner);
   FlattenMatrix(model.options.transition, &group->phi);
   FlattenMatrix(model.options.measurement, &group->h);
   FlattenMatrix(model.options.process_noise, &group->q);
@@ -188,8 +207,10 @@ KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
   return f;
 }
 
-Result<SourceNode::CheckpointState> FleetEngine::SynthesizeForLane(
-    const Group& g, size_t lane) const {
+Result<SourceNode::CheckpointState> FleetEngine::SynthesizeSourceState(
+    const LaneRef& ref) const {
+  const Group& g = *groups_[ref.group];
+  const size_t lane = ref.lane;
   const int id = g.ids[lane];
   auto node_it = nodes_.find(id);
   if (node_it == nodes_.end()) {
@@ -209,8 +230,10 @@ Result<SourceNode::CheckpointState> FleetEngine::SynthesizeForLane(
   return state;
 }
 
-ServerNode::LinkSnapshot FleetEngine::SynthesizeLinkForLane(
-    const Group& g, size_t lane) const {
+ServerNode::LinkSnapshot FleetEngine::SynthesizeLinkState(
+    const LaneRef& ref) const {
+  const Group& g = *groups_[ref.group];
+  const size_t lane = ref.lane;
   ServerNode::LinkSnapshot link;
   link.last_sequence = g.link_last_sequence[lane];
   link.last_valid_tick = g.link_last_valid_tick[lane];
@@ -256,7 +279,6 @@ size_t FleetEngine::AddLane(Group& g, int source_id,
   g.link_last_resync_tick.push_back(link.last_resync_tick);
   g.link_last_update_tick.push_back(link.last_update_tick);
   g.ss_period.push_back(m.ss_period);
-  g.batch_rank.push_back(-1);
   g.value_ptrs.push_back(nullptr);
   g.cold.push_back(m);
   return lane;
@@ -288,10 +310,12 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
     g.link_last_resync_tick[lane] = g.link_last_resync_tick[last];
     g.link_last_update_tick[lane] = g.link_last_update_tick[last];
     g.ss_period[lane] = g.ss_period[last];
-    g.batch_rank[lane] = g.batch_rank[last];
     g.value_ptrs[lane] = g.value_ptrs[last];
     g.cold[lane] = std::move(g.cold[last]);
     resident_[moved].lane = lane;
+    if (TickEntry* entry = FindEntry(moved)) {
+      entry->lane = static_cast<int32_t>(lane);
+    }
   }
   g.ids.pop_back();
   g.x.resize(g.x.size() - n);
@@ -313,7 +337,6 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
   g.link_last_resync_tick.pop_back();
   g.link_last_update_tick.pop_back();
   g.ss_period.pop_back();
-  g.batch_rank.pop_back();
   g.value_ptrs.pop_back();
   g.cold.pop_back();
 }
@@ -324,9 +347,10 @@ Status FleetEngine::SpillLane(int group_index, size_t lane, int64_t tick,
   const int id = g.ids[lane];
   SourceNode* node = nodes_.at(id);
 
+  const LaneRef ref{group_index, lane};
   DKF_ASSIGN_OR_RETURN(SourceNode::CheckpointState synth,
-                       SynthesizeForLane(g, lane));
-  ServerNode::LinkSnapshot link = SynthesizeLinkForLane(g, lane);
+                       SynthesizeSourceState(ref));
+  ServerNode::LinkSnapshot link = SynthesizeLinkState(ref);
   DKF_RETURN_IF_ERROR(node->ImportCheckpoint(synth));
   // Register with the source's *nominal* model, not the (possibly
   // adapted) group model: the server builds its NoiseAdapter from the
@@ -340,7 +364,7 @@ Status FleetEngine::SpillLane(int group_index, size_t lane, int64_t tick,
   RemoveLane(g, lane);
   resident_.erase(id);
   spilled_.insert(id);
-  order_dirty_ = true;
+  if (TickEntry* entry = FindEntry(id)) entry->group = -1;
   ++spills_;
 
   if (reading != nullptr) {
@@ -385,22 +409,61 @@ int64_t FleetEngine::LookupBatchPos(const ReadingBatch& batch, int id,
 }
 
 void FleetEngine::RebuildOrder() {
+  std::vector<TickEntry> old = std::move(order_);
   order_.clear();
   order_.reserve(nodes_.size());
+  size_t j = 0;
   for (auto& [id, node] : nodes_) {
     TickEntry entry;
     entry.id = id;
     entry.node = node;
-    auto res = resident_.find(id);
-    if (res != resident_.end()) {
-      entry.group = res->second.group;
-      entry.lane = static_cast<int32_t>(res->second.lane);
-      // Carry the warm rank cache across the rebuild.
-      entry.rank = groups_[entry.group]->batch_rank[res->second.lane];
+    if (const LaneRef* ref = FindLane(id)) {
+      entry.group = ref->group;
+      entry.lane = static_cast<int32_t>(ref->lane);
     }
+    // Carry the warm rank cache across the rebuild (both ascending).
+    while (j < old.size() && old[j].id < id) ++j;
+    if (j < old.size() && old[j].id == id) entry.rank = old[j].rank;
     order_.push_back(entry);
   }
   order_dirty_ = false;
+}
+
+FleetEngine::TickEntry* FleetEngine::FindEntry(int id) {
+  if (order_dirty_) return nullptr;
+  auto it = std::lower_bound(
+      order_.begin(), order_.end(), id,
+      [](const TickEntry& entry, int key) { return entry.id < key; });
+  return it != order_.end() && it->id == id ? &*it : nullptr;
+}
+
+Status FleetEngine::VerifyOrder() const {
+  if (order_dirty_) return Status::OK();
+  if (order_.size() != nodes_.size()) {
+    return Status::Internal(
+        StrFormat("tick order holds %zu entries for %zu tracked sources",
+                  order_.size(), nodes_.size()));
+  }
+  for (size_t i = 0; i < order_.size(); ++i) {
+    const TickEntry& entry = order_[i];
+    if (i > 0 && order_[i - 1].id >= entry.id) {
+      return Status::Internal(StrFormat(
+          "tick order not strictly ascending at source %d", entry.id));
+    }
+    const LaneRef* ref = FindLane(entry.id);
+    const bool matches =
+        ref != nullptr
+            ? entry.group == ref->group &&
+                  static_cast<size_t>(entry.lane) == ref->lane &&
+                  groups_[ref->group]->ids[ref->lane] == entry.id
+            : entry.group == -1 && spilled_.contains(entry.id);
+    if (!matches) {
+      return Status::Internal(StrFormat(
+          "tick order entry of source %d disagrees with its residency",
+          entry.id));
+    }
+  }
+  return Status::OK();
 }
 
 Status FleetEngine::ResolveReadings(const std::map<int, Vector>* readings,
@@ -436,9 +499,7 @@ Status FleetEngine::ResolveReadings(const std::map<int, Vector>* readings,
           StrFormat("missing reading for source %d", entry.id));
     }
     if (entry.group >= 0) {
-      Group& g = *groups_[entry.group];
-      g.batch_rank[entry.lane] = entry.rank;
-      g.value_ptrs[entry.lane] = value;
+      groups_[entry.group]->value_ptrs[entry.lane] = value;
     } else {
       staged_spilled_.emplace_back(entry.node, value);
     }
@@ -461,25 +522,110 @@ void FleetEngine::AccountDegradedLanes() {
   for (const auto& group : groups_) {
     const Group& g = *group;
     for (size_t i = 0; i < g.ids.size(); ++i) {
-      const bool degraded =
-          g.link_last_resync_tick[i] == now ||
-          (protocol_.staleness_budget > 0 &&
-           now - g.link_last_valid_tick[i] >= protocol_.staleness_budget);
-      if (!degraded) continue;
-      int64_t overdue = 0;
-      if (protocol_.staleness_budget > 0) {
-        overdue = now - g.link_last_valid_tick[i] -
-                  protocol_.staleness_budget + 1;
-      }
-      if (g.link_last_resync_tick[i] == now) {
-        overdue = std::max<int64_t>(overdue, 1);
-      }
-      overdue = std::max<int64_t>(overdue, 0);
+      const int64_t overdue = LaneOverdue(g, i);
+      if (overdue == 0) continue;
       ++degraded_ticks_;
       DKF_TRACE(obs_sink_, now, g.ids[i], TraceEventKind::kDegradedTick,
                 TraceActor::kServer, static_cast<double>(overdue));
     }
   }
+}
+
+bool FleetEngine::PredictLane(Group& g, size_t lane, bool armed) {
+  const size_t n = g.n;
+  const double* phi = g.phi.data();
+  double* sx = g.sx.data();
+  // x <- phi x: flat MultiplyInto(Matrix, Vector), plain ascending sums.
+  MultiplyFlat(phi, &g.x[lane * n], n, n, sx);
+  bool finite = AllFinite(sx, n);
+  if (armed) return finite;  // the covariance snaps along the frozen cycle
+  // P <- phi P phi^T + Q, then Symmetrize: flat replicas of the in-place
+  // kernels, including their zero-skip structure, so every accumulation
+  // happens in the same order on the same values.
+  const double* p = &g.p[lane * n * n];
+  double* sp1 = g.sp1.data();
+  double* sp2 = g.sp2.data();
+  // sp1 = phi P (MultiplyInto: skip zero phi entries, accumulate rows).
+  std::memset(sp1, 0, n * n * sizeof(double));
+  for (size_t r = 0; r < n; ++r) {
+    const double* phi_row = phi + r * n;
+    double* out_row = sp1 + r * n;
+    for (size_t k = 0; k < n; ++k) {
+      const double av = phi_row[k];
+      if (av == 0.0) continue;
+      const double* p_row = p + k * n;
+      for (size_t c = 0; c < n; ++c) out_row[c] += av * p_row[c];
+    }
+  }
+  // sp2 = sp1 phi^T (MultiplyTransposedInto: skip zero sp1 entries).
+  for (size_t r = 0; r < n; ++r) {
+    const double* a_row = sp1 + r * n;
+    double* out_row = sp2 + r * n;
+    for (size_t c = 0; c < n; ++c) {
+      const double* b_row = phi + c * n;
+      double sum = 0.0;
+      for (size_t k = 0; k < n; ++k) {
+        const double av = a_row[k];
+        if (av == 0.0) continue;
+        sum += av * b_row[k];
+      }
+      out_row[c] = sum;
+    }
+  }
+  // P' = sp2 + Q (AddScaledInto with scale 1.0), then Symmetrize.
+  const double* q = g.q.data();
+  for (size_t i = 0; i < n * n; ++i) sp2[i] = sp2[i] + 1.0 * q[i];
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = r + 1; c < n; ++c) {
+      const double avg = 0.5 * (sp2[r * n + c] + sp2[c * n + r]);
+      sp2[r * n + c] = avg;
+      sp2[c * n + r] = avg;
+    }
+  }
+  return finite && AllFinite(sp2, n * n);
+}
+
+double FleetEngine::LaneDeviation(const Group& g, size_t lane) const {
+  // Deviation(H x, z, kMaxAbs) on the predicted state in sx.
+  const Vector& z = *g.value_ptrs[lane];
+  double deviation = 0.0;
+  for (size_t r = 0; r < g.m; ++r) {
+    const double* h_row = &g.h[r * g.n];
+    double sum = 0.0;
+    for (size_t c = 0; c < g.n; ++c) sum += h_row[c] * g.sx[c];
+    deviation = std::max(deviation, std::fabs(sum - z[r]));
+  }
+  return deviation;
+}
+
+void FleetEngine::CommitPredict(Group& g, size_t lane, bool armed) {
+  const size_t n = g.n;
+  std::memcpy(&g.x[lane * n], g.sx.data(), n * sizeof(double));
+  if (armed) {
+    // (ss_idx + 1) % period without the integer divide: ss_idx stays in
+    // [0, period), so the wrap is a single compare. The p <- ss_prior_p
+    // copy is deferred; readers materialize it on demand.
+    const int32_t next_idx = g.ss_idx[lane] + 1;
+    g.ss_idx[lane] = next_idx == g.ss_period[lane] ? 0 : next_idx;
+    g.p_stale[lane] = 1;
+  } else {
+    std::memcpy(&g.p[lane * n * n], g.sp2.data(), n * n * sizeof(double));
+  }
+  ++g.step[lane];
+  ++g.psc[lane];
+  g.phase[lane] = kPhasePredicted;
+}
+
+void FleetEngine::AccountSuppressed(Group& g, size_t lane, int64_t tick,
+                                    double deviation) {
+  // Suppressed-tick bookkeeping, exactly what ProcessReading accrues on
+  // this path: one reading charge, one mirror filter step, one suppress
+  // event carrying (deviation, delta).
+  g.energy_sensing[lane] += energy_.instructions_per_reading;
+  g.readings[lane] += 1;
+  g.energy_compute[lane] += energy_.instructions_per_filter_step;
+  DKF_TRACE(obs_sink_, tick, g.ids[lane], TraceEventKind::kSuppress,
+            TraceActor::kSource, deviation, g.delta[lane]);
 }
 
 Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
@@ -488,7 +634,6 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
   const int id = g.ids[lane];
   const Vector* z = g.value_ptrs[lane];
   const size_t n = g.n;
-  const size_t m = g.m;
 
   // A due heartbeat touches the channel whatever the deviation says
   // (suppressed -> heartbeat, violated -> measurement), so the per-source
@@ -499,11 +644,6 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
     *spilled = true;
     return Status::OK();
   }
-
-  double deviation = 0.0;
-  const double* phi = g.phi.data();
-  const double* h = g.h.data();
-  double* sx = g.sx.data();
 
   if (g.ss_mode[lane] == kSsArmPending) {
     // The rare arm-pending predict runs through the real filter so the
@@ -517,7 +657,8 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
     replay.SetTrace(nullptr, 0, TraceActor::kSourceFilter);
     DKF_RETURN_IF_ERROR(replay.ImportFullState(pre));
     DKF_RETURN_IF_ERROR(replay.Tick());
-    deviation = Deviation(replay.Predicted(), *z, DeviationNorm::kMaxAbs);
+    const double deviation =
+        Deviation(replay.Predicted(), *z, DeviationNorm::kMaxAbs);
     if (deviation > g.delta[lane]) {
       DKF_RETURN_IF_ERROR(SpillLane(group_index, lane, tick, z));
       *spilled = true;
@@ -542,169 +683,52 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
     g.phase[lane] = post.phase;
     g.ss_mode[lane] = post.ss_mode;
     g.ss_idx[lane] = post.ss_idx;
-  } else if (g.ss_mode[lane] == kSsArmed &&
-             g.phase[lane] == kPhaseCorrected) {
-    // Armed fast path (KalmanFilter::Predict, armed branch): x <- phi x,
-    // covariance snaps along the frozen cycle. Flat replica of
-    // MultiplyInto(Matrix, Vector) — plain ascending sums, no zero-skip.
-    const double* x = &g.x[lane * n];
-    for (size_t r = 0; r < n; ++r) {
-      const double* phi_row = phi + r * n;
-      double sum = 0.0;
-      for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
-      sx[r] = sum;
-    }
-    for (size_t r = 0; r < n; ++r) {
-      if (!std::isfinite(sx[r])) {
-        return Status::Internal("filter state diverged to non-finite values");
-      }
-    }
-    for (size_t r = 0; r < m; ++r) {
-      const double* h_row = h + r * n;
-      double sum = 0.0;
-      for (size_t c = 0; c < n; ++c) sum += h_row[c] * sx[c];
-      deviation = std::max(deviation, std::fabs(sum - (*z)[r]));
-    }
-    if (deviation > g.delta[lane]) {
-      DKF_RETURN_IF_ERROR(SpillLane(group_index, lane, tick, z));
-      *spilled = true;
-      return Status::OK();
-    }
-    std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
-    // (ss_idx + 1) % period without the integer divide: ss_idx stays in
-    // [0, period), so the wrap is a single compare.
-    const int32_t next_idx = g.ss_idx[lane] + 1;
-    g.ss_idx[lane] = next_idx == g.ss_period[lane] ? 0 : next_idx;
-    // Defer the p <- ss_prior_p[ss_idx] copy; LaneFullState and the next
-    // slow predict materialize it on demand.
-    g.p_stale[lane] = 1;
-    ++g.step[lane];
-    ++g.psc[lane];
-    g.phase[lane] = kPhasePredicted;
-  } else {
-    if (g.ss_mode[lane] == kSsArmed) {
-      // Coasting break: a second Predict without a Correct leaves the
-      // frozen cycle (DisarmSteadyState). Both halves of the dual link
-      // disarm at the same step; the server filter's event lands first
-      // because TickAll runs before the source loop.
-      const double period = static_cast<double>(g.cold[lane].ss_period);
-      DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
-                TraceActor::kServerFilter, period);
-      DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
-                TraceActor::kSourceFilter, period);
-      g.ss_mode[lane] = kSsTracking;
-      g.cold[lane].ss_streak1 = 0;
-      g.cold[lane].ss_streak2 = 0;
-      g.cold[lane].ss_have_prev = 0;
-      if (g.p_stale[lane]) {
-        std::memcpy(&g.p[lane * n * n],
-                    g.cold[lane].ss_prior_p[g.ss_idx[lane]].RowData(0),
-                    n * n * sizeof(double));
-        g.p_stale[lane] = 0;
-      }
-    }
-    // Slow predict (KalmanFilter::Predict, tracking path): x <- phi x,
-    // P <- phi P phi^T + Q, then Symmetrize — flat replicas of the
-    // in-place kernels, including their zero-skip structure, so every
-    // accumulation happens in the same order on the same values.
-    const double* x = &g.x[lane * n];
-    const double* p = &g.p[lane * n * n];
-    double* sp1 = g.sp1.data();
-    double* sp2 = g.sp2.data();
-    for (size_t r = 0; r < n; ++r) {
-      const double* phi_row = phi + r * n;
-      double sum = 0.0;
-      for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
-      sx[r] = sum;
-    }
-    // sp1 = phi P (MultiplyInto: skip zero phi entries, accumulate rows).
-    std::memset(sp1, 0, n * n * sizeof(double));
-    for (size_t r = 0; r < n; ++r) {
-      const double* phi_row = phi + r * n;
-      double* out_row = sp1 + r * n;
-      for (size_t k = 0; k < n; ++k) {
-        const double av = phi_row[k];
-        if (av == 0.0) continue;
-        const double* p_row = p + k * n;
-        for (size_t c = 0; c < n; ++c) out_row[c] += av * p_row[c];
-      }
-    }
-    // sp2 = sp1 phi^T (MultiplyTransposedInto: skip zero sp1 entries).
-    for (size_t r = 0; r < n; ++r) {
-      const double* a_row = sp1 + r * n;
-      double* out_row = sp2 + r * n;
-      for (size_t c = 0; c < n; ++c) {
-        const double* b_row = phi + c * n;
-        double sum = 0.0;
-        for (size_t k = 0; k < n; ++k) {
-          const double av = a_row[k];
-          if (av == 0.0) continue;
-          sum += av * b_row[k];
-        }
-        out_row[c] = sum;
-      }
-    }
-    // P' = sp2 + Q (AddScaledInto with scale 1.0), then Symmetrize.
-    const double* q = g.q.data();
-    for (size_t i = 0; i < n * n; ++i) sp2[i] = sp2[i] + 1.0 * q[i];
-    for (size_t r = 0; r < n; ++r) {
-      for (size_t c = r + 1; c < n; ++c) {
-        const double avg = 0.5 * (sp2[r * n + c] + sp2[c * n + r]);
-        sp2[r * n + c] = avg;
-        sp2[c * n + r] = avg;
-      }
-    }
-    for (size_t r = 0; r < n; ++r) {
-      if (!std::isfinite(sx[r])) {
-        return Status::Internal("filter state diverged to non-finite values");
-      }
-    }
-    for (size_t i = 0; i < n * n; ++i) {
-      if (!std::isfinite(sp2[i])) {
-        return Status::Internal("filter state diverged to non-finite values");
-      }
-    }
-    for (size_t r = 0; r < m; ++r) {
-      const double* h_row = h + r * n;
-      double sum = 0.0;
-      for (size_t c = 0; c < n; ++c) sum += h_row[c] * sx[c];
-      deviation = std::max(deviation, std::fabs(sum - (*z)[r]));
-    }
-    if (deviation > g.delta[lane]) {
-      DKF_RETURN_IF_ERROR(SpillLane(group_index, lane, tick, z));
-      *spilled = true;
-      return Status::OK();
-    }
-    std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
-    std::memcpy(&g.p[lane * n * n], sp2, n * n * sizeof(double));
-    ++g.step[lane];
-    ++g.psc[lane];
-    g.phase[lane] = kPhasePredicted;
+    AccountSuppressed(g, lane, tick, deviation);
+    return Status::OK();
   }
 
-  // Suppressed-tick bookkeeping, exactly what ProcessReading accrues on
-  // this path: one reading charge, one mirror filter step, one suppress
-  // event carrying (deviation, delta).
-  g.energy_sensing[lane] += energy_.instructions_per_reading;
-  g.readings[lane] += 1;
-  g.energy_compute[lane] += energy_.instructions_per_filter_step;
-  DKF_TRACE(obs_sink_, tick, id, TraceEventKind::kSuppress,
-            TraceActor::kSource, deviation, g.delta[lane]);
+  const bool armed =
+      g.ss_mode[lane] == kSsArmed && g.phase[lane] == kPhaseCorrected;
+  if (g.ss_mode[lane] == kSsArmed && !armed) {
+    // Coasting break: a second Predict without a Correct leaves the
+    // frozen cycle (DisarmSteadyState). Both halves of the dual link
+    // disarm at the same step; the server filter's event lands first
+    // because TickAll runs before the source loop.
+    const double period = static_cast<double>(g.cold[lane].ss_period);
+    DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
+              TraceActor::kServerFilter, period);
+    DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
+              TraceActor::kSourceFilter, period);
+    g.ss_mode[lane] = kSsTracking;
+    g.cold[lane].ss_streak1 = 0;
+    g.cold[lane].ss_streak2 = 0;
+    g.cold[lane].ss_have_prev = 0;
+    if (g.p_stale[lane]) {
+      std::memcpy(&g.p[lane * n * n],
+                  g.cold[lane].ss_prior_p[g.ss_idx[lane]].RowData(0),
+                  n * n * sizeof(double));
+      g.p_stale[lane] = 0;
+    }
+  }
+  // Armed fast path (KalmanFilter::Predict, armed branch) or the
+  // tracking-mode slow predict.
+  if (!PredictLane(g, lane, armed)) {
+    return Status::Internal("filter state diverged to non-finite values");
+  }
+  const double deviation = LaneDeviation(g, lane);
+  if (deviation > g.delta[lane]) {
+    DKF_RETURN_IF_ERROR(SpillLane(group_index, lane, tick, z));
+    *spilled = true;
+    return Status::OK();
+  }
+  CommitPredict(g, lane, armed);
+  AccountSuppressed(g, lane, tick, deviation);
   return Status::OK();
 }
 
 Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
   Group& g = *groups_[group_index];
-  const size_t n = g.n;
-  const size_t m = g.m;
-  const double* phi = g.phi.data();
-  const double* h = g.h.data();
-  double* sx = g.sx.data();
-  double* sp1 = g.sp1.data();
-  double* sp2 = g.sp2.data();
-  const double* q = g.q.data();
   const int64_t hb_interval = protocol_.heartbeat_interval;
-
   size_t lane = 0;
   while (lane < g.ids.size()) {
     // The two hot cases, replicated from TickLane: no heartbeat due,
@@ -715,123 +739,17 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
     // Commit happens only when the prediction is finite and inside
     // delta; every exception falls back to TickLane, which recomputes
     // from the untouched lane state bit-exactly.
-    if (!(hb_interval > 0 &&
-          tick - g.last_send_tick[lane] >= hb_interval)) {
+    if (!(hb_interval > 0 && tick - g.last_send_tick[lane] >= hb_interval)) {
       const uint8_t mode = g.ss_mode[lane];
-      if (mode == kSsArmed && g.phase[lane] == kPhaseCorrected) {
-        const double* x = &g.x[lane * n];
-        for (size_t r = 0; r < n; ++r) {
-          const double* phi_row = phi + r * n;
-          double sum = 0.0;
-          for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
-          sx[r] = sum;
-        }
-        bool finite = true;
-        for (size_t r = 0; r < n; ++r) {
-          if (!std::isfinite(sx[r])) finite = false;
-        }
-        if (finite) {
-          const Vector* z = g.value_ptrs[lane];
-          double deviation = 0.0;
-          for (size_t r = 0; r < m; ++r) {
-            const double* h_row = h + r * n;
-            double sum = 0.0;
-            for (size_t c = 0; c < n; ++c) sum += h_row[c] * sx[c];
-            deviation = std::max(deviation, std::fabs(sum - (*z)[r]));
-          }
-          if (deviation <= g.delta[lane]) {
-            std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
-            const int32_t next_idx = g.ss_idx[lane] + 1;
-            g.ss_idx[lane] = next_idx == g.ss_period[lane] ? 0 : next_idx;
-            g.p_stale[lane] = 1;
-            ++g.step[lane];
-            ++g.psc[lane];
-            g.phase[lane] = kPhasePredicted;
-            g.energy_sensing[lane] += energy_.instructions_per_reading;
-            g.readings[lane] += 1;
-            g.energy_compute[lane] += energy_.instructions_per_filter_step;
-            DKF_TRACE(obs_sink_, tick, g.ids[lane],
-                      TraceEventKind::kSuppress, TraceActor::kSource,
-                      deviation, g.delta[lane]);
-            ++lane;
-            continue;
-          }
-        }
-      } else if (mode == kSsTracking && !g.p_stale[lane]) {
-        // Slow predict, identical flat kernels to TickLane's tracking
-        // branch (zero-skip structure and accumulation order included).
-        const double* x = &g.x[lane * n];
-        const double* p = &g.p[lane * n * n];
-        for (size_t r = 0; r < n; ++r) {
-          const double* phi_row = phi + r * n;
-          double sum = 0.0;
-          for (size_t c = 0; c < n; ++c) sum += phi_row[c] * x[c];
-          sx[r] = sum;
-        }
-        std::memset(sp1, 0, n * n * sizeof(double));
-        for (size_t r = 0; r < n; ++r) {
-          const double* phi_row = phi + r * n;
-          double* out_row = sp1 + r * n;
-          for (size_t k = 0; k < n; ++k) {
-            const double av = phi_row[k];
-            if (av == 0.0) continue;
-            const double* p_row = p + k * n;
-            for (size_t c = 0; c < n; ++c) out_row[c] += av * p_row[c];
-          }
-        }
-        for (size_t r = 0; r < n; ++r) {
-          const double* a_row = sp1 + r * n;
-          double* out_row = sp2 + r * n;
-          for (size_t c = 0; c < n; ++c) {
-            const double* b_row = phi + c * n;
-            double sum = 0.0;
-            for (size_t k = 0; k < n; ++k) {
-              const double av = a_row[k];
-              if (av == 0.0) continue;
-              sum += av * b_row[k];
-            }
-            out_row[c] = sum;
-          }
-        }
-        for (size_t i = 0; i < n * n; ++i) sp2[i] = sp2[i] + 1.0 * q[i];
-        for (size_t r = 0; r < n; ++r) {
-          for (size_t c = r + 1; c < n; ++c) {
-            const double avg = 0.5 * (sp2[r * n + c] + sp2[c * n + r]);
-            sp2[r * n + c] = avg;
-            sp2[c * n + r] = avg;
-          }
-        }
-        bool finite = true;
-        for (size_t r = 0; r < n; ++r) {
-          if (!std::isfinite(sx[r])) finite = false;
-        }
-        for (size_t i = 0; i < n * n; ++i) {
-          if (!std::isfinite(sp2[i])) finite = false;
-        }
-        if (finite) {
-          const Vector* z = g.value_ptrs[lane];
-          double deviation = 0.0;
-          for (size_t r = 0; r < m; ++r) {
-            const double* h_row = h + r * n;
-            double sum = 0.0;
-            for (size_t c = 0; c < n; ++c) sum += h_row[c] * sx[c];
-            deviation = std::max(deviation, std::fabs(sum - (*z)[r]));
-          }
-          if (deviation <= g.delta[lane]) {
-            std::memcpy(&g.x[lane * n], sx, n * sizeof(double));
-            std::memcpy(&g.p[lane * n * n], sp2, n * n * sizeof(double));
-            ++g.step[lane];
-            ++g.psc[lane];
-            g.phase[lane] = kPhasePredicted;
-            g.energy_sensing[lane] += energy_.instructions_per_reading;
-            g.readings[lane] += 1;
-            g.energy_compute[lane] += energy_.instructions_per_filter_step;
-            DKF_TRACE(obs_sink_, tick, g.ids[lane],
-                      TraceEventKind::kSuppress, TraceActor::kSource,
-                      deviation, g.delta[lane]);
-            ++lane;
-            continue;
-          }
+      const bool armed = mode == kSsArmed && g.phase[lane] == kPhaseCorrected;
+      if ((armed || (mode == kSsTracking && !g.p_stale[lane])) &&
+          PredictLane(g, lane, armed)) {
+        const double deviation = LaneDeviation(g, lane);
+        if (deviation <= g.delta[lane]) {
+          CommitPredict(g, lane, armed);
+          AccountSuppressed(g, lane, tick, deviation);
+          ++lane;
+          continue;
         }
       }
     }
@@ -925,7 +843,10 @@ Status FleetEngine::TryAbsorbAll() {
     const size_t lane = AddLane(g, id, state, link);
     DKF_RETURN_IF_ERROR(server_->UnregisterSource(id));
     resident_[id] = LaneRef{target_index, lane};
-    order_dirty_ = true;
+    if (TickEntry* entry = FindEntry(id)) {
+      entry->group = target_index;
+      entry->lane = static_cast<int32_t>(lane);
+    }
     it = spilled_.erase(it);
   }
   return Status::OK();
@@ -966,100 +887,68 @@ Status FleetEngine::ProcessTick(int64_t tick, const ReadingBatch& batch) {
   return ProcessTickImpl(tick, nullptr, &batch);
 }
 
-Result<Vector> FleetEngine::Answer(int source_id) const {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) {
-    return Status::NotFound(
-        StrFormat("source %d not registered", source_id));
+int64_t FleetEngine::LaneOverdue(const Group& g, size_t lane) const {
+  const int64_t ticks_done = server_->ticks();
+  if (ticks_done <= 0) return 0;
+  const int64_t now = ticks_done - 1;
+  int64_t overdue = 0;
+  if (protocol_.staleness_budget > 0) {
+    overdue =
+        now - g.link_last_valid_tick[lane] - protocol_.staleness_budget + 1;
   }
-  const Group& g = *groups_[it->second.group];
-  DKF_RETURN_IF_ERROR(
-      g.loaner->ImportFullState(LaneFullState(g, it->second.lane)));
-  return g.loaner->Predicted();
+  if (g.link_last_resync_tick[lane] == now) {
+    overdue = std::max<int64_t>(overdue, 1);
+  }
+  return std::max<int64_t>(overdue, 0);
 }
 
-Result<ServerNode::ConfidentAnswer> FleetEngine::AnswerWithConfidence(
-    int source_id) const {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) {
-    return Status::NotFound(
-        StrFormat("source %d not registered", source_id));
-  }
-  const Group& g = *groups_[it->second.group];
-  const size_t lane = it->second.lane;
-  DKF_RETURN_IF_ERROR(g.loaner->ImportFullState(LaneFullState(g, lane)));
+Vector FleetEngine::Answer(const LaneRef& ref) const {
+  const Group& g = *groups_[ref.group];
+  Vector value(g.m);
+  MultiplyFlat(g.h.data(), &g.x[ref.lane * g.n], g.m, g.n, value.data());
+  return value;
+}
+
+ServerNode::ConfidentAnswer FleetEngine::AnswerWithConfidence(
+    const LaneRef& ref) const {
+  const Group& g = *groups_[ref.group];
+  const size_t lane = ref.lane;
+  const KalmanFilter::FullState& cold = g.cold[lane];
   ServerNode::ConfidentAnswer answer;
-  answer.value = g.loaner->Predicted();
-  answer.covariance = g.loaner->PredictedCovariance();
-  // Degraded test + inflation from the lane's link scalars, replicating
-  // ServerNode::IsDegraded / OverdueTicks / AnswerWithConfidence.
-  const int64_t ticks_done = server_->ticks();
-  if (ticks_done > 0) {
-    const int64_t now = ticks_done - 1;
-    const bool degraded =
-        g.link_last_resync_tick[lane] == now ||
-        (protocol_.staleness_budget > 0 &&
-         now - g.link_last_valid_tick[lane] >= protocol_.staleness_budget);
-    if (degraded) {
-      answer.degraded = true;
-      if (answer.covariance.has_value()) {
-        int64_t overdue = 0;
-        if (protocol_.staleness_budget > 0) {
-          overdue = now - g.link_last_valid_tick[lane] -
-                    protocol_.staleness_budget + 1;
-        }
-        if (g.link_last_resync_tick[lane] == now) {
-          overdue = std::max<int64_t>(overdue, 1);
-        }
-        overdue = std::max<int64_t>(overdue, 0);
-        const double scale = 1.0 + protocol_.degraded_inflation *
-                                       static_cast<double>(overdue);
-        Matrix& covariance = *answer.covariance;
-        for (size_t r = 0; r < covariance.rows(); ++r) {
-          for (size_t c = 0; c < covariance.cols(); ++c) {
-            covariance(r, c) *= scale;
-          }
-        }
+  answer.value = Answer(ref);
+  // P as LaneFullState would rebuild it: the frozen cycle's prior while
+  // an armed lane defers the copy, else the live flat covariance. R is
+  // the lane's own, so groups keyed by adapted noise answer exactly.
+  Matrix live;
+  const Matrix* p = &live;
+  if (g.p_stale[lane]) {
+    p = &cold.ss_prior_p[g.ss_idx[lane]];
+  } else {
+    live = Matrix(g.n, g.n);
+    std::memcpy(live.MutableRowData(0), &g.p[lane * g.n * g.n],
+                g.n * g.n * sizeof(double));
+  }
+  answer.covariance =
+      ProjectCovariance(*p, g.model.options.measurement,
+                        cold.measurement_noise);
+  // Degraded flag + inflation, replicating ServerNode::AnswerWithConfidence.
+  const int64_t overdue = LaneOverdue(g, lane);
+  if (overdue > 0) {
+    answer.degraded = true;
+    const double scale =
+        1.0 + protocol_.degraded_inflation * static_cast<double>(overdue);
+    Matrix& covariance = *answer.covariance;
+    for (size_t r = 0; r < covariance.rows(); ++r) {
+      for (size_t c = 0; c < covariance.cols(); ++c) {
+        covariance(r, c) *= scale;
       }
     }
   }
   return answer;
 }
 
-Result<bool> FleetEngine::answer_degraded(int source_id) const {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) {
-    return Status::NotFound(
-        StrFormat("source %d not registered", source_id));
-  }
-  const Group& g = *groups_[it->second.group];
-  const size_t lane = it->second.lane;
-  const int64_t ticks_done = server_->ticks();
-  if (ticks_done <= 0) return false;
-  const int64_t now = ticks_done - 1;
-  if (g.link_last_resync_tick[lane] == now) return true;
-  return protocol_.staleness_budget > 0 &&
-         now - g.link_last_valid_tick[lane] >= protocol_.staleness_budget;
-}
-
-Result<SourceNode::CheckpointState> FleetEngine::SynthesizeSourceState(
-    int source_id) const {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) {
-    return Status::NotFound(
-        StrFormat("source %d not resident", source_id));
-  }
-  return SynthesizeForLane(*groups_[it->second.group], it->second.lane);
-}
-
-Result<ServerNode::LinkSnapshot> FleetEngine::SynthesizeLinkState(
-    int source_id) const {
-  auto it = resident_.find(source_id);
-  if (it == resident_.end()) {
-    return Status::NotFound(
-        StrFormat("source %d not resident", source_id));
-  }
-  return SynthesizeLinkForLane(*groups_[it->second.group], it->second.lane);
+bool FleetEngine::answer_degraded(const LaneRef& ref) const {
+  return LaneOverdue(*groups_[ref.group], ref.lane) > 0;
 }
 
 }  // namespace dkf

@@ -83,9 +83,18 @@ class FleetEngine {
   /// are tracked but never absorbed (no constant coefficients to cache).
   Status Track(int source_id, const StateModel& model, SourceNode* node);
 
-  /// True when the source is currently folded into a lane.
-  bool resident(int source_id) const {
-    return resident_.find(source_id) != resident_.end();
+  /// Where a resident source's lane lives. Lanes move on spills and
+  /// absorbs, so a ref is good only until the next tick or reconfigure.
+  struct LaneRef {
+    int group = 0;
+    size_t lane = 0;
+  };
+
+  /// The lane `source_id` is folded into; nullptr when it is spilled or
+  /// not tracked. The one residency lookup behind each read below.
+  const LaneRef* FindLane(int source_id) const {
+    auto it = resident_.find(source_id);
+    return it == resident_.end() ? nullptr : &it->second;
   }
 
   size_t resident_count() const { return resident_.size(); }
@@ -120,21 +129,26 @@ class FleetEngine {
 
   /// Answer surface for resident sources (the shard routes here when the
   /// server has no predictor for the id). Bit-identical to what the
-  /// ServerNode would produce for the same link state: the lane state is
-  /// loaded into a per-group loaner filter and answered through the very
-  /// same code paths.
-  Result<Vector> Answer(int source_id) const;
-  Result<ServerNode::ConfidentAnswer> AnswerWithConfidence(
-      int source_id) const;
-  Result<bool> answer_degraded(int source_id) const;
+  /// ServerNode would produce for the same link state: H x and the
+  /// projected covariance are read straight off the lane, through the
+  /// same arithmetic KalmanPredictor runs (ProjectCovariance).
+  Vector Answer(const LaneRef& ref) const;
+  ServerNode::ConfidentAnswer AnswerWithConfidence(const LaneRef& ref) const;
+  bool answer_degraded(const LaneRef& ref) const;
 
   /// Checkpoint surface for resident sources: synthesizes the exact
   /// per-source snapshots a spilled run would capture. The mirror and
   /// predictor of a resident source are bitwise equal by construction,
   /// so both synthesized states carry the same filter bits.
   Result<SourceNode::CheckpointState> SynthesizeSourceState(
-      int source_id) const;
-  Result<ServerNode::LinkSnapshot> SynthesizeLinkState(int source_id) const;
+      const LaneRef& ref) const;
+  ServerNode::LinkSnapshot SynthesizeLinkState(const LaneRef& ref) const;
+
+  /// Checks the cached tick order against the residency maps: strictly
+  /// ascending ids, one entry per tracked source, and each entry's
+  /// group/lane equal to its resident lane (group -1 when spilled).
+  /// Trivially OK while a membership change awaits the next rebuild.
+  Status VerifyOrder() const;
 
  private:
   /// Phase / SsMode enum values mirrored from KalmanFilter::FullState's
@@ -145,6 +159,15 @@ class FleetEngine {
   static constexpr uint8_t kSsTracking = 0;
   static constexpr uint8_t kSsArmPending = 1;
   static constexpr uint8_t kSsArmed = 2;
+
+  /// One tracked source in the tick order (order_ below).
+  struct TickEntry {
+    int id = 0;
+    SourceNode* node = nullptr;
+    int32_t group = -1;  // -1 = spilled
+    int32_t lane = 0;
+    int64_t rank = -1;   // cached ReadingBatch position
+  };
 
   /// All lanes sharing one model recipe. The per-model coefficients
   /// (phi, H, Q, R) are cached flat exactly once here — asserted
@@ -185,9 +208,7 @@ class FleetEngine {
     // Frozen-cycle length, duplicated out of `cold` so the armed predict
     // never touches the big cold structs.
     std::vector<int32_t> ss_period;
-    // ReadingBatch rank cache (-1 until resolved) and the per-tick
-    // resolved reading pointer.
-    std::vector<int64_t> batch_rank;
+    // The per-tick resolved reading pointer.
     std::vector<const Vector*> value_ptrs;
 
     // Cold per-lane state: the complete FullState fields a suppressed
@@ -200,17 +221,9 @@ class FleetEngine {
     std::vector<double> sp1;  // n*n
     std::vector<double> sp2;  // n*n
 
-    // Loaner filters: `loaner` synthesizes answers/checkpoints from lane
-    // state (mutable: Answer() is logically const), `replay` executes
-    // the rare arm-pending tick through the real filter so the freeze
-    // transition stays bit-exact, trace events included.
-    mutable std::optional<KalmanPredictor> loaner;
+    // Replay filter: executes the rare arm-pending tick through the real
+    // filter so the freeze transition stays bit-exact, trace included.
     std::optional<KalmanPredictor> replay;
-  };
-
-  struct LaneRef {
-    int group = 0;
-    size_t lane = 0;
   };
 
   /// The group for `model`, created on first use; -1 when the model is
@@ -220,13 +233,9 @@ class FleetEngine {
   /// Reconstructs the lane's FullState (mirror == predictor bitwise).
   KalmanFilter::FullState LaneFullState(const Group& g, size_t lane) const;
 
-  /// The per-source CheckpointState a spilled run would capture, built
-  /// from the dormant node plus the lane's live fields.
-  Result<SourceNode::CheckpointState> SynthesizeForLane(const Group& g,
-                                                        size_t lane) const;
-
-  ServerNode::LinkSnapshot SynthesizeLinkForLane(const Group& g,
-                                                 size_t lane) const;
+  /// ServerNode::OverdueTicks for a resident lane at the last completed
+  /// tick: > 0 exactly when ServerNode::IsDegraded would hold.
+  int64_t LaneOverdue(const Group& g, size_t lane) const;
 
   /// Moves a lane back to the per-source objects. When `reading` is
   /// non-null the spill happens mid-tick: the server predictor replays
@@ -259,9 +268,14 @@ class FleetEngine {
   Status ResolveReadings(const std::map<int, Vector>* readings,
                          const ReadingBatch* batch);
 
-  /// Rebuilds the flat ascending-id iteration order after any
-  /// membership or residency change.
+  /// Rebuilds the flat ascending-id iteration order after a membership
+  /// change, carrying each surviving entry's batch rank over.
   void RebuildOrder();
+
+  /// The order_ entry of tracked source `id` by binary search (order_ is
+  /// ascending by id), so residency changes patch it in place; nullptr
+  /// while a membership change awaits RebuildOrder.
+  TickEntry* FindEntry(int id);
 
   /// Batch position of `id`, using (and lazily rebuilding, at most once
   /// per tick) the cached index; -1 when the batch has no entry.
@@ -270,8 +284,24 @@ class FleetEngine {
   Status ProcessTickImpl(int64_t tick, const std::map<int, Vector>* readings,
                          const ReadingBatch* batch);
 
+  /// Flat replica of KalmanFilter::Predict for one lane, into the
+  /// group's scratch: sx = phi x and, unless `armed` (the frozen cycle
+  /// needs no covariance arithmetic), sp2 = phi P phi^T + Q. Commits
+  /// nothing; false when the prediction is non-finite.
+  bool PredictLane(Group& g, size_t lane, bool armed);
+
+  /// Max-abs deviation of H sx from the lane's reading this tick.
+  double LaneDeviation(const Group& g, size_t lane) const;
+
+  /// Commits PredictLane's scratch into the lane.
+  void CommitPredict(Group& g, size_t lane, bool armed);
+
+  /// Accrues one suppressed tick's energy, reading count and trace.
+  void AccountSuppressed(Group& g, size_t lane, int64_t tick,
+                         double deviation);
+
   /// Ticks one resident lane at `lane` in group `gi`: flat suppressed
-  /// predict or spill. Sets `*respill` when the lane was removed (the
+  /// predict or spill. Sets `*spilled` when the lane was removed (the
   /// caller must re-run the same index).
   Status TickLane(int group_index, size_t lane, int64_t tick,
                   bool* spilled);
@@ -298,22 +328,15 @@ class FleetEngine {
   /// Tracked id -> group index, or -1 when never batchable.
   std::map<int, int> eligible_group_;
   /// Currently resident sources and their lane.
-  std::map<int, LaneRef> resident_;
+  std::unordered_map<int, LaneRef> resident_;
   /// Currently spilled sources (ascending — per-source processing order).
   std::set<int> spilled_;
 
-  /// One tracked source in the flat per-tick resolve pass: the tree
-  /// maps above are authoritative for membership, but walking them per
-  /// source per tick costs more than the batched predict itself, so the
-  /// resolve loop runs over this ascending-id snapshot instead
-  /// (rebuilt only when membership or residency changed).
-  struct TickEntry {
-    int id = 0;
-    SourceNode* node = nullptr;
-    int32_t group = -1;  // -1 = spilled
-    int32_t lane = 0;
-    int64_t rank = -1;   // cached ReadingBatch position
-  };
+  /// One tracked source in the flat per-tick resolve pass: the maps
+  /// above are authoritative for membership, but walking them per source
+  /// per tick costs more than the batched predict itself, so the resolve
+  /// loop runs over this ascending-id snapshot instead. Spills and absorbs
+  /// patch their entries in place; only Track rebuilds it.
   std::vector<TickEntry> order_;
   bool order_dirty_ = true;
 

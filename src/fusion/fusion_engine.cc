@@ -558,11 +558,8 @@ Result<FusionEngine::ConfidentAnswer> FusionEngine::AnswerWithConfidence(
   const Group& group = it->second;
   ConfidentAnswer answer;
   answer.value = group.posterior.PredictedMeasurement();
-  // H P H^T computed as S - R, the same projection KalmanPredictor
-  // serves for per-source confidence answers.
-  answer.covariance = group.posterior.InnovationCovariance();
-  answer.covariance -= group.posterior.measurement_noise();
-  answer.covariance.Symmetrize();
+  // The same projection KalmanPredictor serves for per-source answers.
+  answer.covariance = group.posterior.ProjectedCovariance();
   if (IsDegraded(group)) {
     answer.degraded = true;
     const double scale = 1.0 + protocol_.degraded_inflation *

@@ -34,6 +34,14 @@ Status QueryRegistry::RemoveQuery(int query_id) {
   return Status::OK();
 }
 
+Result<int> QueryRegistry::QuerySource(int query_id) const {
+  auto it = queries_.find(query_id);
+  if (it == queries_.end()) {
+    return Status::NotFound(StrFormat("query %d not registered", query_id));
+  }
+  return it->second.source_id;
+}
+
 Result<double> QueryRegistry::EffectiveDelta(int source_id) const {
   auto it = by_source_.find(source_id);
   if (it == by_source_.end()) {
@@ -108,6 +116,15 @@ Status QueryRegistry::RemoveFusedQuery(int query_id) {
   if (group_it->second.empty()) by_group_.erase(group_it);
   fused_queries_.erase(it);
   return Status::OK();
+}
+
+Result<int> QueryRegistry::FusedQueryGroup(int query_id) const {
+  auto it = fused_queries_.find(query_id);
+  if (it == fused_queries_.end()) {
+    return Status::NotFound(
+        StrFormat("fused query %d not registered", query_id));
+  }
+  return it->second.group_id;
 }
 
 Result<double> QueryRegistry::EffectiveFusedDelta(int group_id) const {

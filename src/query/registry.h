@@ -32,6 +32,10 @@ class QueryRegistry {
   /// Removes a query by id.
   Status RemoveQuery(int query_id);
 
+  /// The source query `query_id` is bound to, in O(log Q); NotFound when
+  /// no plain query has that id.
+  Result<int> QuerySource(int query_id) const;
+
   /// The tightest precision over the source's active queries.
   Result<double> EffectiveDelta(int source_id) const;
 
@@ -53,6 +57,16 @@ class QueryRegistry {
 
   /// Removes a fused query by id.
   Status RemoveFusedQuery(int query_id);
+
+  /// The group fused query `query_id` is bound to, in O(log Q); NotFound
+  /// when no fused query has that id.
+  Result<int> FusedQueryGroup(int query_id) const;
+
+  /// True when the group has at least one active fused query — the
+  /// non-copying form of `!FusedQueriesForGroup(group_id).empty()`.
+  bool HasFusedQueries(int group_id) const {
+    return by_group_.contains(group_id);
+  }
 
   /// The tightest precision over the group's active fused queries.
   Result<double> EffectiveFusedDelta(int group_id) const;

@@ -200,7 +200,7 @@ Status StreamShard::RemoveFusionMember(int group_id, int member_id) {
 Status StreamShard::ReconfigureFusionGroup(int group_id,
                                            const QueryRegistry& registry) {
   double effective;
-  if (registry.FusedQueriesForGroup(group_id).empty()) {
+  if (!registry.HasFusedQueries(group_id)) {
     auto base_or = fusion_.group_base_delta(group_id);
     if (!base_or.ok()) return base_or.status();
     effective = base_or.value();
@@ -335,16 +335,16 @@ Status StreamShard::FinishTick(int64_t tick, bool timed,
 }
 
 Result<Vector> StreamShard::Answer(int source_id) const {
-  if (fleet_ != nullptr && fleet_->resident(source_id)) {
-    return fleet_->Answer(source_id);
+  if (const FleetEngine::LaneRef* lane = ResidentLane(source_id)) {
+    return fleet_->Answer(*lane);
   }
   return server_.Answer(source_id);
 }
 
 Result<ServerNode::ConfidentAnswer> StreamShard::AnswerWithConfidence(
     int source_id) const {
-  if (fleet_ != nullptr && fleet_->resident(source_id)) {
-    return fleet_->AnswerWithConfidence(source_id);
+  if (const FleetEngine::LaneRef* lane = ResidentLane(source_id)) {
+    return fleet_->AnswerWithConfidence(*lane);
   }
   return server_.AnswerWithConfidence(source_id);
 }
@@ -376,11 +376,14 @@ Result<std::pair<double, int>> StreamShard::PartialSumWithStatus(
 }
 
 Status StreamShard::VerifyLinkConsistency() const {
+  // The fleet's incrementally patched tick order must still agree with
+  // its residency maps.
+  if (fleet_ != nullptr) DKF_RETURN_IF_ERROR(fleet_->VerifyOrder());
   for (const auto& [id, node] : sources_) {
     // Batch-resident sources hold mirror == predictor bitwise by
     // construction (one lane stores both); there is no separate server
     // predictor to compare against.
-    if (fleet_ != nullptr && fleet_->resident(id)) continue;
+    if (ResidentLane(id) != nullptr) continue;
     if (node->resync_pending()) continue;
     auto predictor_or = server_.predictor(id);
     if (!predictor_or.ok()) return predictor_or.status();
@@ -393,8 +396,8 @@ Status StreamShard::VerifyLinkConsistency() const {
 }
 
 Result<bool> StreamShard::answer_degraded(int source_id) const {
-  if (fleet_ != nullptr && fleet_->resident(source_id)) {
-    return fleet_->answer_degraded(source_id);
+  if (const FleetEngine::LaneRef* lane = ResidentLane(source_id)) {
+    return fleet_->answer_degraded(*lane);
   }
   return server_.degraded(source_id);
 }
@@ -420,7 +423,7 @@ ProtocolFaultStats StreamShard::fault_stats() const {
 
 Status StreamShard::VerifyMirrorConsistency() const {
   for (const auto& [id, node] : sources_) {
-    if (fleet_ != nullptr && fleet_->resident(id)) continue;
+    if (ResidentLane(id) != nullptr) continue;
     auto predictor_or = server_.predictor(id);
     if (!predictor_or.ok()) return predictor_or.status();
     if (!node->mirror().StateEquals(*predictor_or.value())) {
@@ -457,8 +460,8 @@ Result<size_t> StreamShard::source_dim(int source_id) const {
 
 Result<SourceNode::CheckpointState> StreamShard::ExportSourceState(
     int source_id) const {
-  if (fleet_ != nullptr && fleet_->resident(source_id)) {
-    return fleet_->SynthesizeSourceState(source_id);
+  if (const FleetEngine::LaneRef* lane = ResidentLane(source_id)) {
+    return fleet_->SynthesizeSourceState(*lane);
   }
   auto it = sources_.find(source_id);
   if (it == sources_.end()) {
@@ -469,8 +472,8 @@ Result<SourceNode::CheckpointState> StreamShard::ExportSourceState(
 
 Result<ServerNode::LinkSnapshot> StreamShard::ExportLinkState(
     int source_id) const {
-  if (fleet_ != nullptr && fleet_->resident(source_id)) {
-    return fleet_->SynthesizeLinkState(source_id);
+  if (const FleetEngine::LaneRef* lane = ResidentLane(source_id)) {
+    return fleet_->SynthesizeLinkState(*lane);
   }
   return server_.ExportLink(source_id);
 }

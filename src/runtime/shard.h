@@ -226,6 +226,12 @@ class StreamShard {
   Status FinishTick(int64_t tick, bool timed,
                     std::chrono::steady_clock::time_point start);
 
+  /// The fleet lane `source_id` is folded into; nullptr when the source
+  /// is not batch-resident (or the batched fleet is off).
+  const FleetEngine::LaneRef* ResidentLane(int source_id) const {
+    return fleet_ != nullptr ? fleet_->FindLane(source_id) : nullptr;
+  }
+
   ServerNode server_;
   Channel channel_;
   EnergyModelOptions energy_;

@@ -133,18 +133,9 @@ Status ShardedStreamEngine::RemoveQuery(int query_id) {
         "aggregate members are removed via RemoveAggregateQuery");
   }
   // Find the query's source before removal so we can relax it after.
-  int source_id = -1;
-  for (int candidate : registry_.ActiveSources()) {
-    for (const ContinuousQuery& query :
-         registry_.QueriesForSource(candidate)) {
-      if (query.id == query_id) source_id = candidate;
-    }
-  }
+  DKF_ASSIGN_OR_RETURN(const int source_id, registry_.QuerySource(query_id));
   DKF_RETURN_IF_ERROR(registry_.RemoveQuery(query_id));
-  if (source_id >= 0) {
-    return OwningShard(source_id).Reconfigure(source_id, registry_);
-  }
-  return Status::OK();
+  return OwningShard(source_id).Reconfigure(source_id, registry_);
 }
 
 Status ShardedStreamEngine::RegisterFusionGroup(
@@ -232,19 +223,11 @@ Status ShardedStreamEngine::SubmitFusedQuery(const FusedQuery& query) {
 
 Status ShardedStreamEngine::RemoveFusedQuery(int query_id) {
   // Find the query's group before removal so we can relax it after.
-  int group_id = -1;
-  for (int candidate : registry_.ActiveGroups()) {
-    for (const FusedQuery& query :
-         registry_.FusedQueriesForGroup(candidate)) {
-      if (query.id == query_id) group_id = candidate;
-    }
-  }
+  DKF_ASSIGN_OR_RETURN(const int group_id,
+                       registry_.FusedQueryGroup(query_id));
   DKF_RETURN_IF_ERROR(registry_.RemoveFusedQuery(query_id));
-  if (group_id >= 0) {
-    return shards_[static_cast<size_t>(fusion_groups_.at(group_id))]
-        ->ReconfigureFusionGroup(group_id, registry_);
-  }
-  return Status::OK();
+  return shards_[static_cast<size_t>(fusion_groups_.at(group_id))]
+      ->ReconfigureFusionGroup(group_id, registry_);
 }
 
 Result<Vector> ShardedStreamEngine::AnswerFused(int group_id) const {

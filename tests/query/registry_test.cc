@@ -93,5 +93,44 @@ TEST(RegistryTest, QueriesForSourceAndActiveSources) {
   EXPECT_EQ(registry.ActiveSources(), (std::vector<int>{5, 9}));
 }
 
+TEST(RegistryTest, QuerySourceLooksUpTheBinding) {
+  QueryRegistry registry;
+  ASSERT_TRUE(registry.AddQuery(MakeQuery(1, 5, 1.0)).ok());
+  ASSERT_TRUE(registry.AddQuery(MakeQuery(2, 5, 2.0)).ok());
+  ASSERT_TRUE(registry.AddQuery(MakeQuery(3, 9, 2.0)).ok());
+  EXPECT_EQ(registry.QuerySource(1).value(), 5);
+  EXPECT_EQ(registry.QuerySource(3).value(), 9);
+  EXPECT_EQ(registry.QuerySource(4).status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(registry.RemoveQuery(1).ok());
+  EXPECT_EQ(registry.QuerySource(1).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry.QuerySource(2).value(), 5);
+}
+
+TEST(RegistryTest, FusedQueryGroupAndHasFusedQueries) {
+  QueryRegistry registry;
+  FusedQuery fused;
+  fused.id = 10;
+  fused.group_id = 3;
+  fused.precision = 1.0;
+  EXPECT_FALSE(registry.HasFusedQueries(3));
+  ASSERT_TRUE(registry.AddFusedQuery(fused).ok());
+  fused.id = 11;
+  ASSERT_TRUE(registry.AddFusedQuery(fused).ok());
+  ASSERT_TRUE(registry.AddQuery(MakeQuery(12, 3, 1.0)).ok());
+  EXPECT_TRUE(registry.HasFusedQueries(3));
+  EXPECT_FALSE(registry.HasFusedQueries(4));
+  EXPECT_EQ(registry.FusedQueryGroup(10).value(), 3);
+  // Plain and fused ids share one namespace but not one lookup.
+  EXPECT_EQ(registry.FusedQueryGroup(12).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(registry.QuerySource(10).status().code(), StatusCode::kNotFound);
+  ASSERT_TRUE(registry.RemoveFusedQuery(10).ok());
+  EXPECT_TRUE(registry.HasFusedQueries(3));
+  ASSERT_TRUE(registry.RemoveFusedQuery(11).ok());
+  EXPECT_FALSE(registry.HasFusedQueries(3));
+  EXPECT_EQ(registry.FusedQueryGroup(11).status().code(),
+            StatusCode::kNotFound);
+}
+
 }  // namespace
 }  // namespace dkf
