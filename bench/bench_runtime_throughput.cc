@@ -1,9 +1,12 @@
 // Throughput of the sharded runtime vs the sequential StreamManager.
 //
 // Sweeps shard count x fleet size, driving identical workloads through
-// both systems, and reports ticks/sec plus speedup as machine-readable
-// JSON on stdout (one object; see docs/runtime.md for the schema) so
-// the perf trajectory can be tracked across PRs.
+// both, and reports ticks/sec plus speedup as machine-readable JSON on
+// stdout (one object; see docs/runtime.md for the schema) so the perf
+// trajectory can be tracked across changes. The "sequential" baseline is
+// StreamManager, i.e. a one-shard engine behind a facade (no worker
+// threads; the tick runs on the calling thread), so the 1-shard row
+// times the same code twice and its speedup should read about 1.0.
 //
 // Flags: --sources=1000,10000 --shards=1,2,4,8,16 --ticks=200
 //        --delta=2.0 --faults --trace

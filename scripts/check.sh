@@ -52,13 +52,15 @@ else
   # runs the noise servo inside shard workers at 1/2/4/8 shards
   # (docs/adaptive.md); the fusion chaos test ticks group-pinned
   # FusionEngines inside shard workers and diffs merged state across
-  # shard counts (docs/fusion.md).
+  # shard counts (docs/fusion.md). StreamManager is a one-shard engine,
+  # so its tests and the checkpoint harness (manager and engine restores
+  # at several shard counts) drive the same pool.
   cmake --build "build-${SANITIZE//,/-}" -j "$JOBS" \
     --target worker_pool_test sharded_engine_test golden_trace_test \
              subscription_engine_test serve_golden_test \
              fleet_equivalence_test fleet_churn_test fleet_answer_test \
              governor_test governor_chaos_test adaptive_scenarios_test \
-             fusion_chaos_test
+             fusion_chaos_test stream_manager_test checkpoint_chaos_test
   "./build-${SANITIZE//,/-}/tests/worker_pool_test"
   "./build-${SANITIZE//,/-}/tests/sharded_engine_test"
   "./build-${SANITIZE//,/-}/tests/golden_trace_test"
@@ -71,6 +73,8 @@ else
   "./build-${SANITIZE//,/-}/tests/governor_chaos_test"
   "./build-${SANITIZE//,/-}/tests/adaptive_scenarios_test"
   "./build-${SANITIZE//,/-}/tests/fusion_chaos_test"
+  "./build-${SANITIZE//,/-}/tests/stream_manager_test"
+  "./build-${SANITIZE//,/-}/tests/checkpoint_chaos_test"
 fi
 
 if [[ "${DKF_ASAN:-1}" == "0" ]]; then
@@ -90,7 +94,8 @@ else
              fleet_equivalence_test fleet_churn_test fleet_answer_test \
              governor_test governor_chaos_test \
              adaptive_property_test adaptive_scenarios_test \
-             fusion_engine_test fusion_chaos_test fusion_checkpoint_test
+             fusion_engine_test fusion_chaos_test fusion_checkpoint_test \
+             checkpoint_chaos_test
   ./build-asan/tests/chaos_test
   ./build-asan/tests/channel_test
   ./build-asan/tests/stream_manager_test
@@ -121,6 +126,9 @@ else
   ./build-asan/tests/fusion_engine_test
   ./build-asan/tests/fusion_chaos_test
   ./build-asan/tests/fusion_checkpoint_test
+  # Snapshot capture/restore through the one checkpoint path, including
+  # the shared-RNG stream a StreamManager may keep.
+  ./build-asan/tests/checkpoint_chaos_test
 fi
 
 if [[ "${DKF_COVERAGE:-1}" == "0" ]]; then

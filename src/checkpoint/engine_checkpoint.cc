@@ -1,8 +1,8 @@
-/// Save/Restore for StreamManager and ShardedStreamEngine
-/// (docs/checkpoint.md). This file is the only code with checkpoint
-/// access to the engines' internals: CheckpointAccess is the friend
-/// class the engine headers declare, so the snapshot plumbing stays out
-/// of the hot-path translation units entirely.
+/// Save/Restore for ShardedStreamEngine and its one-shard facade
+/// StreamManager (docs/checkpoint.md). This file is the only code with
+/// checkpoint access to the engine's internals: CheckpointAccess is the
+/// friend class the engine headers declare, so the snapshot plumbing
+/// stays out of the hot-path translation units entirely.
 
 #include <algorithm>
 #include <array>
@@ -106,198 +106,19 @@ ServeStats ServeCounters(const ServeSnapshot& serve) {
   return stats;
 }
 
-/// Serving-layer read adapters over the public engine APIs, used to
-/// re-prime the serve value caches once the filters are restored (the
-/// caches are pure functions of engine state, so nothing about them is
-/// serialized — see SubscriptionEngine::RefreshCaches).
-class ManagerAnswerReader final : public ServeAnswerSource {
- public:
-  explicit ManagerAnswerReader(const StreamManager& manager)
-      : manager_(manager) {}
-
-  Result<double> SourceValue(int source_id) const override {
-    auto answer_or = manager_.Answer(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value()[0];
-  }
-
-  Result<double> SourceUncertainty(int source_id) const override {
-    auto answer_or = manager_.AnswerWithConfidence(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    if (!answer_or.value().covariance.has_value()) return 0.0;
-    return (*answer_or.value().covariance)(0, 0);
-  }
-
-  Result<double> AggregateValue(int aggregate_id) const override {
-    return manager_.AnswerAggregate(aggregate_id);
-  }
-
-  Result<double> FusedValue(int group_id) const override {
-    auto answer_or = manager_.AnswerFused(group_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value()[0];
-  }
-
-  Result<double> FusedUncertainty(int group_id) const override {
-    auto answer_or = manager_.AnswerFusedWithConfidence(group_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value().covariance(0, 0);
-  }
-
- private:
-  const StreamManager& manager_;
-};
-
-class ShardAnswerReader final : public ServeAnswerSource {
- public:
-  explicit ShardAnswerReader(const StreamShard& shard) : shard_(shard) {}
-
-  Result<double> SourceValue(int source_id) const override {
-    auto answer_or = shard_.Answer(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value()[0];
-  }
-
-  Result<double> SourceUncertainty(int source_id) const override {
-    auto answer_or = shard_.AnswerWithConfidence(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    if (!answer_or.value().covariance.has_value()) return 0.0;
-    return (*answer_or.value().covariance)(0, 0);
-  }
-
-  Result<double> AggregateValue(int aggregate_id) const override {
-    return Status::InvalidArgument(
-        StrFormat("aggregate %d is not served at shard level", aggregate_id));
-  }
-
-  Result<double> FusedValue(int group_id) const override {
-    auto answer_or = shard_.AnswerFused(group_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value()[0];
-  }
-
-  Result<double> FusedUncertainty(int group_id) const override {
-    auto answer_or = shard_.AnswerFusedWithConfidence(group_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value().covariance(0, 0);
-  }
-
- private:
-  const StreamShard& shard_;
-};
-
-class EngineAnswerReader final : public ServeAnswerSource {
- public:
-  explicit EngineAnswerReader(const ShardedStreamEngine& engine)
-      : engine_(engine) {}
-
-  Result<double> SourceValue(int source_id) const override {
-    auto answer_or = engine_.Answer(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    return answer_or.value()[0];
-  }
-
-  Result<double> SourceUncertainty(int source_id) const override {
-    auto answer_or = engine_.AnswerWithConfidence(source_id);
-    if (!answer_or.ok()) return answer_or.status();
-    if (!answer_or.value().covariance.has_value()) return 0.0;
-    return (*answer_or.value().covariance)(0, 0);
-  }
-
-  Result<double> AggregateValue(int aggregate_id) const override {
-    // Member order, not shard order — matches the serving layer's
-    // layout-invariant delivery values.
-    return engine_.AnswerAggregateCanonical(aggregate_id);
-  }
-
- private:
-  const ShardedStreamEngine& engine_;
-};
-
 }  // namespace
 
-/// The one class befriended by StreamManager, StreamShard, and
-/// ShardedStreamEngine. Stateless; every method is a static pass over
-/// one engine's internals.
+/// The one class befriended by StreamShard and ShardedStreamEngine.
+/// Stateless; every method is a static pass over one engine's
+/// internals.
 class CheckpointAccess {
  public:
-  static Result<EngineSnapshot> Capture(const StreamManager& manager) {
-    EngineSnapshot snapshot;
-    snapshot.energy = manager.options_.energy;
-    snapshot.channel = manager.options_.channel;
-    snapshot.default_delta = manager.options_.default_delta;
-    snapshot.protocol = manager.options_.protocol;
-    snapshot.num_shards = 1;
-    snapshot.ticks = manager.ticks_;
-    snapshot.control_messages = manager.control_messages_;
-
-    for (const auto& [source_id, node] : manager.sources_) {
-      SourceSnapshot source;
-      source.source_id = source_id;
-      source.model = manager.models_.at(source_id);
-      DKF_ASSIGN_OR_RETURN(source.node, node->ExportCheckpoint());
-      DKF_ASSIGN_OR_RETURN(source.link, manager.server_.ExportLink(source_id));
-      source.channel = manager.channel_.ExportSourceCheckpoint(source_id);
-      snapshot.sources.push_back(std::move(source));
-    }
-
-    snapshot.server_faults = manager.server_.fault_stats();
-    snapshot.has_shared_rng = true;
-    snapshot.shared_rng = manager.channel_.ExportSharedRng();
-
-    snapshot.queries = CollectQueries(manager.registry_);
-    for (const auto& [id, binding] : manager.aggregates_) {
-      AggregateSnapshot aggregate;
-      aggregate.id = id;
-      aggregate.source_ids = binding.source_ids;
-      aggregate.synthetic_query_ids = binding.synthetic_query_ids;
-      snapshot.aggregates.push_back(std::move(aggregate));
-    }
-
-    if (manager.sink_ != nullptr) {
-      snapshot.obs.enabled = true;
-      snapshot.obs.options = manager.sink_->options();
-      // Canonical merged order — the order the determinism contract is
-      // stated in, and the order that fans onto any shard layout.
-      snapshot.obs.events = MergeTraces({manager.sink_->Events()});
-      for (int k = 0; k < kNumTraceEventKinds; ++k) {
-        snapshot.obs.kind_counts[static_cast<size_t>(k)] =
-            manager.sink_->count(static_cast<TraceEventKind>(k));
-      }
-      snapshot.obs.dropped = manager.sink_->dropped_events();
-      snapshot.obs.gauges = manager.sink_->gauges();
-    }
-
-    snapshot.serve.options = manager.options_.serve;
-    std::vector<std::vector<NotificationBatch>> serve_streams;
-    FoldServe(manager.serve_, &snapshot.serve, &serve_streams);
-    snapshot.serve.pending = MergeNotificationBatches(serve_streams);
-
-    // Fusion groups with their members' channel lanes (members share the
-    // channel's per-source namespace, so their lanes export like any
-    // source's).
-    for (FusionEngine::GroupState& group : manager.fusion_.ExportGroups()) {
-      FusionGroupSnapshot entry;
-      entry.member_channels.reserve(group.members.size());
-      for (const FusionEngine::MemberState& member : group.members) {
-        entry.member_channels.push_back(
-            manager.channel_.ExportSourceCheckpoint(member.source_id));
-      }
-      entry.group = std::move(group);
-      snapshot.fusion_groups.push_back(std::move(entry));
-    }
-    snapshot.fused_queries = CollectFusedQueries(manager.registry_);
-    return snapshot;
-  }
-
   static Result<EngineSnapshot> Capture(const ShardedStreamEngine& engine) {
     EngineSnapshot snapshot;
     snapshot.energy = engine.options_.energy;
+    // The effective channel options: per_source_rng is forced on unless
+    // this is StreamManager's one-shard engine (see the constructor).
     snapshot.channel = engine.options_.channel;
-    // The shards run with per-source fault streams regardless of what the
-    // original options said (the engine forces it); the snapshot records
-    // the effective value so any restore target reproduces the streams.
-    snapshot.channel.per_source_rng = true;
     snapshot.default_delta = engine.options_.default_delta;
     snapshot.protocol = engine.options_.protocol;
     snapshot.num_shards = static_cast<int>(engine.shards_.size());
@@ -329,7 +150,12 @@ class CheckpointAccess {
             shard->fleet_->degraded_ticks();
       }
     }
-    snapshot.has_shared_rng = false;
+    // A shared fault stream exists only on a one-shard engine, so shard
+    // 0's channel holds all of it.
+    snapshot.has_shared_rng = !snapshot.channel.per_source_rng;
+    if (snapshot.has_shared_rng) {
+      snapshot.shared_rng = engine.shards_[0]->channel_.ExportSharedRng();
+    }
 
     snapshot.queries = CollectQueries(engine.registry_);
     for (const auto& [id, binding] : engine.aggregates_) {
@@ -412,111 +238,6 @@ class CheckpointAccess {
     return snapshot;
   }
 
-  static Status Restore(StreamManager& manager,
-                        const EngineSnapshot& snapshot) {
-    manager.ticks_ = snapshot.ticks;
-    manager.control_messages_ = snapshot.control_messages;
-    manager.server_.RestoreClock(snapshot.ticks);
-
-    for (const SourceSnapshot& source : snapshot.sources) {
-      DKF_RETURN_IF_ERROR(
-          manager.RegisterSource(source.source_id, source.model));
-      DKF_RETURN_IF_ERROR(
-          manager.sources_.at(source.source_id)->ImportCheckpoint(
-              source.node));
-      DKF_RETURN_IF_ERROR(
-          manager.server_.RestoreLink(source.source_id, source.link));
-      manager.channel_.ImportSourceCheckpoint(source.source_id,
-                                              source.channel);
-      manager.installed_smoothing_[source.source_id] =
-          source.node.smoothing_factor;
-    }
-    // Fusion groups and their members' channel lanes, before the
-    // channel's restore is finalized so the lanes are part of the same
-    // pass as the plain sources'.
-    for (const FusionGroupSnapshot& entry : snapshot.fusion_groups) {
-      if (entry.member_channels.size() != entry.group.members.size()) {
-        return Status::InvalidArgument(StrFormat(
-            "fusion group %d has %zu channel lanes for %zu members",
-            entry.group.group_id, entry.member_channels.size(),
-            entry.group.members.size()));
-      }
-      DKF_RETURN_IF_ERROR(manager.fusion_.ImportGroup(entry.group));
-      for (size_t m = 0; m < entry.group.members.size(); ++m) {
-        manager.channel_.ImportSourceCheckpoint(
-            entry.group.members[m].source_id, entry.member_channels[m]);
-      }
-    }
-    // The fusion clock holds the last *completed* tick: the next
-    // BeginTick(ticks) does its degraded accounting for tick ticks-1,
-    // exactly as the uninterrupted run's would.
-    manager.fusion_.RestoreClock(snapshot.ticks - 1);
-    manager.channel_.FinalizeRestore();
-    if (snapshot.has_shared_rng) {
-      manager.channel_.ImportSharedRng(snapshot.shared_rng);
-    }
-    manager.server_.RestoreFaultStats(snapshot.server_faults);
-
-    // Replay the registry verbatim. No reconfiguration runs: the node
-    // state restored above is already the post-reconfiguration state.
-    for (const ContinuousQuery& query : snapshot.queries) {
-      DKF_RETURN_IF_ERROR(manager.registry_.AddQuery(query));
-    }
-    for (const FusedQuery& query : snapshot.fused_queries) {
-      DKF_RETURN_IF_ERROR(manager.registry_.AddFusedQuery(query));
-    }
-    for (const AggregateSnapshot& aggregate : snapshot.aggregates) {
-      StreamManager::AggregateBinding binding;
-      binding.source_ids = aggregate.source_ids;
-      binding.synthetic_query_ids = aggregate.synthetic_query_ids;
-      manager.aggregates_[aggregate.id] = std::move(binding);
-    }
-
-    if (snapshot.obs.enabled) {
-      DKF_RETURN_IF_ERROR(manager.EnableTracing(snapshot.obs.options));
-      manager.sink_->RestoreForCheckpoint(snapshot.obs.events,
-                                          snapshot.obs.kind_counts,
-                                          snapshot.obs.dropped,
-                                          snapshot.obs.gauges);
-    }
-
-    // Serving front-end: re-attach every registration with its saved
-    // delivery state (no fresh initial notifications), hand back the
-    // undrained buffer, then re-prime the value caches from the
-    // restored filters.
-    for (const ServeSubscriptionSnapshot& sub :
-         snapshot.serve.subscriptions) {
-      SubscriptionState state;
-      state.spec = sub.spec;
-      state.inside = sub.inside;
-      state.fired = sub.fired;
-      std::vector<int> members;
-      if (sub.spec.kind == SubscriptionKind::kAggregate) {
-        auto it = manager.aggregates_.find(sub.spec.aggregate_id);
-        if (it == manager.aggregates_.end()) {
-          return Status::InvalidArgument(StrFormat(
-              "subscription %lld targets aggregate %d, which the snapshot "
-              "does not register",
-              static_cast<long long>(sub.spec.id), sub.spec.aggregate_id));
-        }
-        members = it->second.source_ids;
-      } else if (sub.spec.kind == SubscriptionKind::kFused &&
-                 !manager.fusion_.has_group(sub.spec.group_id)) {
-        return Status::InvalidArgument(StrFormat(
-            "subscription %lld targets fusion group %d, which the snapshot "
-            "does not register",
-            static_cast<long long>(sub.spec.id), sub.spec.group_id));
-      }
-      DKF_RETURN_IF_ERROR(manager.serve_.ImportSubscription(state, members));
-    }
-    manager.serve_.RestorePending(snapshot.serve.pending,
-                                  snapshot.serve.drained_through_step);
-    manager.serve_.RestoreStats(ServeCounters(snapshot.serve));
-    DKF_RETURN_IF_ERROR(
-        manager.serve_.RefreshCaches(ManagerAnswerReader(manager)));
-    return Status::OK();
-  }
-
   static Status Restore(ShardedStreamEngine& engine,
                         const EngineSnapshot& snapshot) {
     engine.ticks_ = snapshot.ticks;
@@ -565,6 +286,11 @@ class CheckpointAccess {
       // uninterrupted run's.
       shard->fusion_.RestoreClock(snapshot.ticks - 1);
       shard->channel_.FinalizeRestore();
+    }
+    // Only a one-shard target can keep a shared fault stream (see the
+    // constructor); it resumes exactly where the saved run left it.
+    if (snapshot.has_shared_rng && !engine.options_.channel.per_source_rng) {
+      engine.shards_[0]->channel_.ImportSharedRng(snapshot.shared_rng);
     }
     // The snapshot's fleet-wide aggregates land on shard 0; only merged
     // views are part of the determinism contract (docs/checkpoint.md).
@@ -746,21 +472,16 @@ class CheckpointAccess {
       engine.governor_->ImportState(snapshot.governor.epochs,
                                     std::move(governor_states));
     }
+    // The serve value caches are pure functions of engine state, so
+    // nothing about them is serialized: re-prime them from the restored
+    // filters.
     for (auto& shard : engine.shards_) {
-      DKF_RETURN_IF_ERROR(
-          shard->serve_.RefreshCaches(ShardAnswerReader(*shard)));
+      DKF_RETURN_IF_ERROR(shard->RefreshServeCaches());
     }
-    DKF_RETURN_IF_ERROR(
-        engine.aggregate_serve_.RefreshCaches(EngineAnswerReader(engine)));
+    DKF_RETURN_IF_ERROR(engine.RefreshServeCaches());
     return Status::OK();
   }
 };
-
-Status StreamManager::Save(const std::string& path) const {
-  DKF_ASSIGN_OR_RETURN(EngineSnapshot snapshot,
-                       CheckpointAccess::Capture(*this));
-  return SaveSnapshotFile(snapshot, path);
-}
 
 Result<std::unique_ptr<StreamManager>> StreamManager::Restore(
     const std::string& path) {
@@ -778,7 +499,7 @@ Result<std::unique_ptr<StreamManager>> StreamManager::Restore(
   options.protocol = snapshot.protocol;
   options.serve = snapshot.serve.options;
   auto manager = std::make_unique<StreamManager>(options);
-  DKF_RETURN_IF_ERROR(CheckpointAccess::Restore(*manager, snapshot));
+  DKF_RETURN_IF_ERROR(CheckpointAccess::Restore(manager->engine_, snapshot));
   return manager;
 }
 

@@ -472,9 +472,10 @@ Status FleetEngine::ResolveReadings(const std::map<int, Vector>* readings,
   staged_spilled_.reserve(spilled_.size());
   if (order_dirty_) RebuildOrder();
   bool rebuilt = false;
-  // Ascending id, like RunSourceTick's staging pass: the first missing
-  // reading reported is the same one the per-source path would name, and
-  // nothing is resolved until everything is (error before state moves).
+  // Ascending id, like the shard's per-source staging pass: the first
+  // bad reading reported is the same one the per-source path would name,
+  // and nothing is resolved until everything is (error before state
+  // moves).
   for (TickEntry& entry : order_) {
     const Vector* value = nullptr;
     if (readings != nullptr) {
@@ -498,10 +499,19 @@ Status FleetEngine::ResolveReadings(const std::map<int, Vector>* readings,
       return Status::InvalidArgument(
           StrFormat("missing reading for source %d", entry.id));
     }
+    size_t width;
     if (entry.group >= 0) {
-      groups_[entry.group]->value_ptrs[entry.lane] = value;
+      Group& g = *groups_[entry.group];
+      width = g.m;
+      g.value_ptrs[entry.lane] = value;
     } else {
+      width = entry.node->mirror().dim();
       staged_spilled_.emplace_back(entry.node, value);
+    }
+    if (value->size() != width) {
+      return Status::InvalidArgument(
+          StrFormat("reading width %zu for source %d, model expects %zu",
+                    value->size(), entry.id, width));
     }
   }
   return Status::OK();
@@ -852,14 +862,20 @@ Status FleetEngine::TryAbsorbAll() {
   return Status::OK();
 }
 
-Status FleetEngine::ProcessTickImpl(int64_t tick,
-                                    const std::map<int, Vector>* readings,
-                                    const ReadingBatch* batch) {
-  DKF_RETURN_IF_ERROR(ResolveReadings(readings, batch));
-  // Same phase order as RunSourceTick: degraded accounting for the
-  // completed tick (lanes here, spilled links inside TickAll), server
-  // predicts, channel drain, then the sources — spilled first through the
-  // verbatim path, lanes through the flat kernel.
+Status FleetEngine::ResolveReadings(const ReadingBatch& batch) {
+  if (batch.ids.size() != batch.values.size()) {
+    return Status::InvalidArgument(
+        StrFormat("reading batch has %zu ids but %zu values",
+                  batch.ids.size(), batch.values.size()));
+  }
+  return ResolveReadings(nullptr, &batch);
+}
+
+Status FleetEngine::ProcessTick(int64_t tick) {
+  // Same phase order as the shard's per-source tick: degraded accounting
+  // for the completed tick (lanes here, spilled links inside TickAll),
+  // server predicts, channel drain, then the sources — spilled first
+  // through the verbatim path, lanes through the flat kernel.
   AccountDegradedLanes();
   DKF_RETURN_IF_ERROR(server_->TickAll());
   DKF_RETURN_IF_ERROR(channel_->BeginTick(tick));
@@ -871,20 +887,6 @@ Status FleetEngine::ProcessTickImpl(int64_t tick,
     DKF_RETURN_IF_ERROR(TickGroupLanes(static_cast<int>(gi), tick));
   }
   return TryAbsorbAll();
-}
-
-Status FleetEngine::ProcessTick(int64_t tick,
-                                const std::map<int, Vector>& readings) {
-  return ProcessTickImpl(tick, &readings, nullptr);
-}
-
-Status FleetEngine::ProcessTick(int64_t tick, const ReadingBatch& batch) {
-  if (batch.ids.size() != batch.values.size()) {
-    return Status::InvalidArgument(
-        StrFormat("reading batch has %zu ids but %zu values",
-                  batch.ids.size(), batch.values.size()));
-  }
-  return ProcessTickImpl(tick, nullptr, &batch);
 }
 
 int64_t FleetEngine::LaneOverdue(const Group& g, size_t lane) const {

@@ -117,15 +117,26 @@ class FleetEngine {
   /// the end of the next tick if still eligible.
   Status SpillForReconfigure(int source_id);
 
-  /// One protocol tick over every tracked source, bit-identical to
-  /// RunSourceTick over the same ids: spilled sources run the verbatim
+  /// Stages one tick's readings: every tracked source must have one of
+  /// its model's width. Spilled sources are staged in ascending id
+  /// order and lane reading pointers cached; no filter state moves, so
+  /// a rejected tick leaves every link untouched. The map overload
+  /// mirrors the shard's per-source lookup; the batch overload is the
+  /// allocation-light fast path. The readings must outlive the
+  /// ProcessTick that follows.
+  Status ResolveReadings(const std::map<int, Vector>& readings) {
+    return ResolveReadings(&readings, nullptr);
+  }
+  Status ResolveReadings(const ReadingBatch& batch);
+
+  /// One protocol tick over every tracked source on the readings the
+  /// last ResolveReadings staged, bit-identical to the shard's
+  /// per-source tick over the same ids: spilled sources run the verbatim
   /// per-source path, resident lanes run the flat suppressed-predict
   /// kernel (spilling first if the tick is anything but a suppressed
   /// healthy predict), and newly re-converged sources are absorbed at
-  /// the end. The map overload mirrors RunSourceTick's lookup; the
-  /// batch overload is the allocation-light fast path.
-  Status ProcessTick(int64_t tick, const std::map<int, Vector>& readings);
-  Status ProcessTick(int64_t tick, const ReadingBatch& batch);
+  /// the end.
+  Status ProcessTick(int64_t tick);
 
   /// Answer surface for resident sources (the shard routes here when the
   /// server has no predictor for the id). Bit-identical to what the
@@ -261,10 +272,8 @@ class FleetEngine {
   /// ServerNode::TickAll's previous-tick bookkeeping.
   void AccountDegradedLanes();
 
-  /// Resolves every tracked source's reading up front (exactly one of
-  /// `readings`/`batch` is non-null), staging spilled sources in
-  /// ascending id order and caching lane reading pointers. Errors before
-  /// any filter state moves.
+  /// Both ResolveReadings overloads: exactly one of `readings`/`batch`
+  /// is non-null.
   Status ResolveReadings(const std::map<int, Vector>* readings,
                          const ReadingBatch* batch);
 
@@ -280,9 +289,6 @@ class FleetEngine {
   /// Batch position of `id`, using (and lazily rebuilding, at most once
   /// per tick) the cached index; -1 when the batch has no entry.
   int64_t LookupBatchPos(const ReadingBatch& batch, int id, bool* rebuilt);
-
-  Status ProcessTickImpl(int64_t tick, const std::map<int, Vector>* readings,
-                         const ReadingBatch* batch);
 
   /// Flat replica of KalmanFilter::Predict for one lane, into the
   /// group's scratch: sx = phi x and, unless `armed` (the frozen cycle
@@ -340,7 +346,8 @@ class FleetEngine {
   std::vector<TickEntry> order_;
   bool order_dirty_ = true;
 
-  /// Per-tick staging of spilled work, mirroring RunSourceTick.
+  /// Per-tick staging of spilled work, mirroring the shard's per-source
+  /// staging.
   std::vector<std::pair<SourceNode*, const Vector*>> staged_spilled_;
   /// ReadingBatch id -> position cache (validated entry-wise per use).
   std::unordered_map<int, int64_t> batch_pos_;

@@ -177,15 +177,9 @@ Status FusionEngine::BeginTick(int64_t tick) {
   return Status::OK();
 }
 
-Status FusionEngine::ProcessReadings(int64_t tick,
-                                     const std::map<int, Vector>& readings,
-                                     Channel* channel) {
-  if (tick != now_) {
-    return Status::FailedPrecondition(
-        StrFormat("ProcessReadings for tick %lld but BeginTick ran for %lld",
-                  static_cast<long long>(tick),
-                  static_cast<long long>(now_)));
-  }
+Status FusionEngine::ResolveReadings(const std::map<int, Vector>& readings) {
+  staged_readings_.clear();
+  staged_readings_.reserve(member_to_group_.size());
   for (auto& [group_id, group] : groups_) {
     for (auto& [member_id, member] : group.members) {
       auto reading_it = readings.find(member_id);
@@ -193,8 +187,35 @@ Status FusionEngine::ProcessReadings(int64_t tick,
         return Status::InvalidArgument(
             StrFormat("no reading for fusion member %d", member_id));
       }
+      if (reading_it->second.size() != member.mirror.measurement_dim()) {
+        return Status::InvalidArgument(StrFormat(
+            "reading width %zu for fusion member %d, model expects %zu",
+            reading_it->second.size(), member_id,
+            member.mirror.measurement_dim()));
+      }
+      staged_readings_.push_back(&reading_it->second);
+    }
+  }
+  return Status::OK();
+}
+
+Status FusionEngine::ProcessReadings(int64_t tick, Channel* channel) {
+  if (tick != now_) {
+    return Status::FailedPrecondition(
+        StrFormat("ProcessReadings for tick %lld but BeginTick ran for %lld",
+                  static_cast<long long>(tick),
+                  static_cast<long long>(now_)));
+  }
+  if (staged_readings_.size() != member_to_group_.size()) {
+    return Status::FailedPrecondition(
+        "ProcessReadings without a matching ResolveReadings");
+  }
+  size_t next = 0;
+  for (auto& [group_id, group] : groups_) {
+    for (auto& [member_id, member] : group.members) {
       DKF_RETURN_IF_ERROR(StepMember(group, member_id, member,
-                                     reading_it->second, tick, channel));
+                                     *staged_readings_[next++], tick,
+                                     channel));
     }
   }
   return Status::OK();
@@ -203,11 +224,6 @@ Status FusionEngine::ProcessReadings(int64_t tick,
 Status FusionEngine::StepMember(Group& group, int member_id, Member& member,
                                 const Vector& reading, int64_t tick,
                                 Channel* channel) {
-  if (reading.size() != member.mirror.measurement_dim()) {
-    return Status::InvalidArgument(
-        StrFormat("reading width %zu, fusion model expects %zu",
-                  reading.size(), member.mirror.measurement_dim()));
-  }
   // Deferred ACKs from delayed deliveries are drained and discarded: a
   // fused member heals only by receiving a re-lock broadcast (the
   // posterior is authoritative; an uplink ACK alone proves nothing about

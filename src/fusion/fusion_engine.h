@@ -142,11 +142,16 @@ class FusionEngine {
   /// post-predict posterior, mirroring ServerNode's TickAll ordering.
   Status BeginTick(int64_t tick);
 
-  /// Runs every member's event-trigger protocol step for this tick, in
-  /// ascending (group id, member id) order, after the host's plain
-  /// sources. `readings` must contain an entry per member.
-  Status ProcessReadings(int64_t tick, const std::map<int, Vector>& readings,
-                         Channel* channel);
+  /// Stages this tick's member readings: `readings` must hold an entry
+  /// of the fusion model's measurement width for every member. Moves no
+  /// state, so a host rejects a malformed tick before BeginTick predicts
+  /// anything. `readings` must outlive the ProcessReadings that follows.
+  Status ResolveReadings(const std::map<int, Vector>& readings);
+
+  /// Runs every member's event-trigger protocol step for this tick on
+  /// the readings ResolveReadings staged, in ascending (group id, member
+  /// id) order, after the host's plain sources.
+  Status ProcessReadings(int64_t tick, Channel* channel);
 
   /// Ingress for fused traffic (message.group_id >= 0) — the host's
   /// channel sink routes here instead of ServerNode::OnMessage.
@@ -304,6 +309,9 @@ class FusionEngine {
   /// registered before the run starts gets the same staleness-clock
   /// origin ServerNode gives a source registered at construction.
   int64_t now_ = -1;
+  /// This tick's member readings in ascending (group, member) order,
+  /// staged by ResolveReadings.
+  std::vector<const Vector*> staged_readings_;
   TraceSink* obs_sink_ = nullptr;
 };
 

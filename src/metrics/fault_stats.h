@@ -9,8 +9,8 @@ namespace dkf {
 /// often the mirror/server pair diverged, how the resync machinery
 /// recovered, and what the server rejected at the door. One instance is
 /// kept per SourceNode (source-side fields) and per ServerNode
-/// (server-side fields); StreamManager and the sharded runtime merge
-/// them into one fleet-wide view (see runtime/stats_merge.h and
+/// (server-side fields); the sharded runtime merges them into one
+/// fleet-wide view (see runtime/stats_merge.h and
 /// docs/protocol.md §6).
 struct ProtocolFaultStats {
   // ---- source side -------------------------------------------------

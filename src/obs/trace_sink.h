@@ -29,7 +29,7 @@ struct ObsOptions {
   bool record_timing = false;
 };
 
-/// The hot-path event recorder: one per StreamManager / per shard, written
+/// The hot-path event recorder: one per shard, written
 /// only by the thread driving that component's tick (the same contract as
 /// every other per-shard object — see runtime/shard.h), read between
 /// ticks.

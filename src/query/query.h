@@ -10,8 +10,8 @@ namespace dkf {
 /// per-source members an aggregate query is split into; user queries
 /// must stay below it, and the single-query removal path refuses to
 /// touch the reserved range (members are managed through their
-/// aggregate). Shared by StreamManager and the sharded runtime so both
-/// carve up the id space identically.
+/// aggregate). The sharded runtime uses it at every shard count, so
+/// every layout carves up the id space identically.
 inline constexpr int kReservedQueryIdBase = 1 << 24;
 
 /// What a continuous query targets: one source's own stream (the

@@ -3,7 +3,6 @@
 #include <chrono>
 
 #include "common/string_util.h"
-#include "dsms/tick_step.h"
 
 namespace dkf {
 
@@ -145,6 +144,10 @@ Status StreamShard::Unsubscribe(int64_t subscription_id) {
   return serve_.Unsubscribe(subscription_id);
 }
 
+Status StreamShard::RefreshServeCaches() {
+  return serve_.RefreshCaches(ShardAnswers(*this));
+}
+
 Status StreamShard::Reconfigure(int source_id,
                                 const QueryRegistry& registry) {
   auto it = sources_.find(source_id);
@@ -158,11 +161,28 @@ Status StreamShard::Reconfigure(int source_id,
   if (fleet_ != nullptr) {
     DKF_RETURN_IF_ERROR(fleet_->SpillForReconfigure(source_id));
   }
-  auto changed_or =
-      InstallEffectiveConfig(registry, default_delta_, source_id,
-                             *it->second, installed_smoothing_[source_id]);
-  if (!changed_or.ok()) return changed_or.status();
-  if (changed_or.value()) ++control_messages_;
+  SourceNode& node = *it->second;
+  auto delta_or = registry.EffectiveDelta(source_id);
+  const double new_delta = delta_or.ok() ? delta_or.value() : default_delta_;
+  std::optional<double> new_smoothing;
+  auto smoothing_or = registry.EffectiveSmoothing(source_id);
+  if (smoothing_or.ok()) new_smoothing = smoothing_or.value();
+
+  // One control message when anything actually changed.
+  bool changed = false;
+  if (node.delta() != new_delta) {
+    DKF_RETURN_IF_ERROR(node.set_delta(new_delta));
+    changed = true;
+  }
+  // Only touch (and thereby restart) the KF_c smoother when the factor
+  // actually changed.
+  std::optional<double>& installed = installed_smoothing_[source_id];
+  if (installed != new_smoothing) {
+    DKF_RETURN_IF_ERROR(node.set_smoothing(new_smoothing));
+    installed = new_smoothing;
+    changed = true;
+  }
+  if (changed) ++control_messages_;
   return Status::OK();
 }
 
@@ -258,65 +278,98 @@ Status StreamShard::ProcessTick(int64_t tick,
   const bool timed = obs_sink_ != nullptr && obs_sink_->options().record_timing;
   const auto start = timed ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point();
-  // Fused posteriors and mirrors predict before the channel drains its
-  // in-flight queue (inside the source tick), so delayed fused
-  // deliveries land on post-predict state — the same ordering
-  // ServerNode::TickAll gives the per-source links. Unconditional: the
-  // fusion clock must advance even while the shard has no groups.
-  DKF_RETURN_IF_ERROR(fusion_.BeginTick(tick));
   if (fleet_ != nullptr) {
-    DKF_RETURN_IF_ERROR(fleet_->ProcessTick(tick, readings));
+    DKF_RETURN_IF_ERROR(fleet_->ResolveReadings(readings));
   } else {
-    DKF_RETURN_IF_ERROR(
-        RunSourceTick(tick, server_, sources_, readings, channel_));
+    DKF_RETURN_IF_ERROR(ResolveSourceReadings(readings));
   }
-  // Fusion members run after the plain sources, in ascending (group,
-  // member) order — one deterministic source order per shard tick.
-  DKF_RETURN_IF_ERROR(fusion_.ProcessReadings(tick, readings, &channel_));
-  return FinishTick(tick, timed, start);
+  DKF_RETURN_IF_ERROR(fusion_.ResolveReadings(readings));
+  return RunTick(tick, timed, start);
 }
 
 Status StreamShard::ProcessTick(int64_t tick, const ReadingBatch& batch) {
-  const bool timed = obs_sink_ != nullptr && obs_sink_->options().record_timing;
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point();
-  DKF_RETURN_IF_ERROR(fusion_.BeginTick(tick));
-  if (fleet_ != nullptr) {
-    DKF_RETURN_IF_ERROR(fleet_->ProcessTick(tick, batch));
-  } else {
+  if (fleet_ == nullptr) {
     if (batch.ids.size() != batch.values.size()) {
       return Status::InvalidArgument(
           StrFormat("reading batch has %zu ids but %zu values",
                     batch.ids.size(), batch.values.size()));
     }
     // Per-source fallback: project this shard's slice of the batch into
-    // the map form RunSourceTick expects.
+    // the map form the per-source path resolves.
     std::map<int, Vector> readings;
     for (size_t i = 0; i < batch.ids.size(); ++i) {
-      if (sources_.contains(batch.ids[i])) {
+      if (sources_.contains(batch.ids[i]) ||
+          fusion_.owns_member(batch.ids[i])) {
         readings.emplace(batch.ids[i], batch.values[i]);
       }
     }
-    DKF_RETURN_IF_ERROR(
-        RunSourceTick(tick, server_, sources_, readings, channel_));
+    return ProcessTick(tick, readings);
   }
+  const bool timed = obs_sink_ != nullptr && obs_sink_->options().record_timing;
+  const auto start = timed ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point();
+  DKF_RETURN_IF_ERROR(fleet_->ResolveReadings(batch));
+  // Fusion members never batch into fleet lanes: project their slice of
+  // the batch into the map form the fusion engine resolves.
+  std::map<int, Vector> fused_readings;
   if (fusion_.active()) {
-    // Project the members' slice of the batch into the map form the
-    // fusion engine expects (members never batch into fleet lanes).
-    std::map<int, Vector> fused_readings;
     for (size_t i = 0; i < batch.ids.size(); ++i) {
       if (fusion_.owns_member(batch.ids[i])) {
         fused_readings.emplace(batch.ids[i], batch.values[i]);
       }
     }
-    DKF_RETURN_IF_ERROR(
-        fusion_.ProcessReadings(tick, fused_readings, &channel_));
   }
-  return FinishTick(tick, timed, start);
+  DKF_RETURN_IF_ERROR(fusion_.ResolveReadings(fused_readings));
+  return RunTick(tick, timed, start);
 }
 
-Status StreamShard::FinishTick(int64_t tick, bool timed,
-                               std::chrono::steady_clock::time_point start) {
+Status StreamShard::ResolveSourceReadings(
+    const std::map<int, Vector>& readings) {
+  staged_sources_.clear();
+  staged_sources_.reserve(sources_.size());
+  for (auto& [id, node] : sources_) {
+    auto it = readings.find(id);
+    if (it == readings.end()) {
+      return Status::InvalidArgument(
+          StrFormat("missing reading for source %d", id));
+    }
+    if (it->second.size() != node->mirror().dim()) {
+      return Status::InvalidArgument(
+          StrFormat("reading width %zu for source %d, model expects %zu",
+                    it->second.size(), id, node->mirror().dim()));
+    }
+    staged_sources_.emplace_back(node.get(), &it->second);
+  }
+  return Status::OK();
+}
+
+Status StreamShard::RunTick(int64_t tick, bool timed,
+                            std::chrono::steady_clock::time_point start) {
+  // Fused posteriors and mirrors predict before the channel drains its
+  // in-flight queue, so delayed fused deliveries land on post-predict
+  // state — the same ordering ServerNode::TickAll gives the per-source
+  // links. Unconditional: the fusion clock must advance even while the
+  // shard has no groups.
+  DKF_RETURN_IF_ERROR(fusion_.BeginTick(tick));
+  if (fleet_ != nullptr) {
+    DKF_RETURN_IF_ERROR(fleet_->ProcessTick(tick));
+  } else {
+    // Server-side prediction step for every stream, then the channel's
+    // in-flight (delayed) messages due this tick, then the sources in
+    // ascending id order — so a message delayed d ticks reaches the
+    // server after it has ticked past the send tick, and its deferred
+    // ACK is visible to the sender when it processes this tick's
+    // reading.
+    DKF_RETURN_IF_ERROR(server_.TickAll());
+    DKF_RETURN_IF_ERROR(channel_.BeginTick(tick));
+    for (auto& [node, reading] : staged_sources_) {
+      auto step_or = node->ProcessReading(tick, *reading, &channel_);
+      if (!step_or.ok()) return step_or.status();
+    }
+  }
+  // Fusion members run after the plain sources, in ascending (group,
+  // member) order — one deterministic source order per shard tick.
+  DKF_RETURN_IF_ERROR(fusion_.ProcessReadings(tick, &channel_));
   // Serve this shard's subscriptions while still on the worker thread:
   // the per-shard index makes notification fan-out scale with shards
   // exactly like the protocol work does.

@@ -113,7 +113,9 @@ class StreamShard {
 
   /// Runs one protocol tick over this shard's sources. `readings` is
   /// the engine's full batch; entries for other shards' sources are
-  /// ignored.
+  /// ignored. Every owned source and fusion member must have a reading
+  /// of its model's width; a malformed batch is rejected before any
+  /// filter state moves.
   Status ProcessTick(int64_t tick, const std::map<int, Vector>& readings);
 
   /// Allocation-light variant for huge fleets: readings come as parallel
@@ -221,10 +223,21 @@ class StreamShard {
  private:
   friend class CheckpointAccess;
 
-  /// Shared tail of both ProcessTick overloads: serve the shard's
-  /// subscriptions and record per-tick observability.
-  Status FinishTick(int64_t tick, bool timed,
-                    std::chrono::steady_clock::time_point start);
+  /// Re-primes the serve value caches from the current filters (the
+  /// last step of a checkpoint restore; the caches are not serialized).
+  Status RefreshServeCaches();
+
+  /// Stages every owned source's reading for the per-source path (the
+  /// fleet engine stages its own): each must be present and of the
+  /// model's width. Moves no state.
+  Status ResolveSourceReadings(const std::map<int, Vector>& readings);
+
+  /// Shared tail of both ProcessTick overloads, once every reading is
+  /// resolved: fusion predict, the protocol tick, the fused members,
+  /// then serve the shard's subscriptions and record per-tick
+  /// observability.
+  Status RunTick(int64_t tick, bool timed,
+                 std::chrono::steady_clock::time_point start);
 
   /// The fleet lane `source_id` is folded into; nullptr when the source
   /// is not batch-resident (or the batched fleet is off).
@@ -240,6 +253,9 @@ class StreamShard {
   /// Remembered from the channel options: EnableFleet requires it.
   bool per_source_rng_ = false;
   std::map<int, std::unique_ptr<SourceNode>> sources_;
+  /// This tick's per-source work in ascending id order, staged by
+  /// ResolveSourceReadings (reused across ticks to keep its capacity).
+  std::vector<std::pair<SourceNode*, const Vector*>> staged_sources_;
   /// Smoothing factor currently installed at each node (tracked so an
   /// unrelated reconfiguration does not restart KF_c).
   std::map<int, std::optional<double>> installed_smoothing_;

@@ -57,23 +57,23 @@ class EngineAnswers final : public ServeAnswerSource {
 }  // namespace
 
 ShardedStreamEngine::ShardedStreamEngine(
-    const ShardedStreamEngineOptions& options)
+    const ShardedStreamEngineOptions& options, bool force_per_source_rng)
     : options_(options),
       aggregate_serve_(options.serve),
       pool_(static_cast<size_t>(ClampShards(options.num_shards) - 1)) {
   options_.num_shards = ClampShards(options.num_shards);
   // Per-source drop streams are the determinism contract: a source's
   // channel behavior must not depend on which shard it landed in.
-  ChannelOptions channel = options_.channel;
-  channel.per_source_rng = true;
+  // options_ records the effective value, which is what a snapshot keeps.
+  if (force_per_source_rng) options_.channel.per_source_rng = true;
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<StreamShard>(
-        channel, options_.energy, options_.default_delta,
+        options_.channel, options_.energy, options_.default_delta,
         options_.protocol, options_.serve));
     if (options_.batched_fleet) {
-      // Cannot fail: the shard is empty and per_source_rng was just
-      // forced on above.
+      // Cannot fail: the shard is empty and the public constructor
+      // forces per_source_rng on above.
       (void)shards_.back()->EnableFleet();
     }
   }
@@ -300,8 +300,8 @@ Status ShardedStreamEngine::SubmitAggregateQuery(
   AggregateBinding binding;
   binding.source_ids = query.source_ids;
   for (size_t i = 0; i < query.source_ids.size(); ++i) {
-    // Same synthetic-member id scheme as StreamManager, so workloads
-    // replayed on either system bind identically.
+    // One synthetic-member id scheme at every shard count, so workloads
+    // replayed on any layout bind identically.
     ContinuousQuery member;
     member.id = kReservedQueryIdBase + query.id * 1024 +
                 static_cast<int>(i);
@@ -504,6 +504,10 @@ Status ShardedStreamEngine::Subscribe(const Subscription& subscription) {
   }
   return OwningShard(subscription.source_id)
       .Subscribe(subscription, ticks_);
+}
+
+Status ShardedStreamEngine::RefreshServeCaches() {
+  return aggregate_serve_.RefreshCaches(EngineAnswers(*this));
 }
 
 Status ShardedStreamEngine::Unsubscribe(int64_t subscription_id) {

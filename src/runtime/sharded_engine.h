@@ -58,27 +58,27 @@ struct ShardedStreamEngineOptions {
   GovernorOptions governor;
 };
 
-/// The sharded, multi-threaded counterpart of StreamManager for large
-/// fleets: sources are partitioned across N share-nothing shards (each
-/// owning its sources' mirrors, server predictors, and uplink channel),
-/// ticks run in parallel on a persistent worker pool, and this
-/// coordinator merges per-shard stats and answers while preserving the
-/// StreamManager API surface.
+/// The end-to-end system's one orchestrator: sources are partitioned
+/// across N share-nothing shards (each owning its sources' mirrors,
+/// server predictors, and uplink channel), ticks run in parallel on a
+/// persistent worker pool, and this coordinator merges per-shard stats
+/// and answers. StreamManager is a facade over a one-shard engine.
 ///
-/// Aggregate (SUM) queries spanning shards use the same per-source
-/// delta split as StreamManager and are answered by combining per-shard
-/// partial sums, so the precision guarantee
+/// Aggregate (SUM) queries spanning shards split their precision into
+/// per-source deltas independent of the layout and are answered by
+/// combining per-shard partial sums, so the precision guarantee
 /// |answer - true sum| <= precision is unchanged by sharding. (The
 /// floating-point summation *order* does follow the shard layout; see
 /// docs/runtime.md.)
 ///
-/// Thread contract: like StreamManager, the engine is driven from one
-/// thread; all parallelism is internal to ProcessTick, which returns
-/// only after every worker has finished its shard (so reads between
-/// ticks need no locks).
+/// Thread contract: the engine is driven from one thread; all
+/// parallelism is internal to ProcessTick, which returns only after
+/// every worker has finished its shard (so reads between ticks need no
+/// locks).
 class ShardedStreamEngine {
  public:
-  explicit ShardedStreamEngine(const ShardedStreamEngineOptions& options);
+  explicit ShardedStreamEngine(const ShardedStreamEngineOptions& options)
+      : ShardedStreamEngine(options, /*force_per_source_rng=*/true) {}
 
   ShardedStreamEngine(ShardedStreamEngine&&) = delete;
   ShardedStreamEngine& operator=(ShardedStreamEngine&&) = delete;
@@ -93,8 +93,8 @@ class ShardedStreamEngine {
   Status RemoveQuery(int query_id);
 
   /// Registers a continuous SUM query over scalar sources; the
-  /// precision budget is split per source exactly as StreamManager
-  /// splits it, regardless of how the members land on shards.
+  /// precision budget is split per source the same way at every shard
+  /// count, regardless of how the members land on shards.
   Status SubmitAggregateQuery(const AggregateQuery& query,
                               const std::vector<double>& weights = {});
 
@@ -153,15 +153,14 @@ class ShardedStreamEngine {
 
   /// The aggregate answer summed in the aggregate's declared member
   /// order instead of shard order — a layout-invariant float summation,
-  /// bit-identical to StreamManager's answer at any shard count. This
+  /// bit-identical to the one-shard answer at any shard count. This
   /// is the value the serving layer delivers (the notification stream
   /// is pinned bit-exactly across layouts; AnswerAggregate's partial
   /// sums are only equal up to reordering).
   Result<double> AnswerAggregateCanonical(int aggregate_id) const;
 
   /// Aggregate answer plus degradation status (count of member sources
-  /// currently served degraded) — mirrors
-  /// StreamManager::AnswerAggregateWithStatus.
+  /// currently served degraded).
   struct AggregateAnswer {
     double value = 0.0;
     int degraded_members = 0;
@@ -197,8 +196,7 @@ class ShardedStreamEngine {
 
   /// Per-shard batch streams plus the engine-level aggregate stream,
   /// merged into canonical (step, source_id, subscription_id) order —
-  /// bit-identical to a StreamManager's drained stream for the same
-  /// workload, at any shard count.
+  /// bit-identical for the same workload at any shard count.
   std::vector<NotificationBatch> DrainNotifications();
 
   /// Serving-layer counters merged across shards.
@@ -308,6 +306,20 @@ class ShardedStreamEngine {
 
  private:
   friend class CheckpointAccess;
+  /// The one-shard facade: it reads shard 0's channel and fusion engine
+  /// directly and builds the engine through the constructor below.
+  friend class StreamManager;
+
+  /// `force_per_source_rng = false` leaves the channel's RNG choice as
+  /// configured. Only StreamManager asks for that, and always with one
+  /// shard: a shared fault stream is layout-dependent, so it is legal
+  /// only where there is no layout.
+  ShardedStreamEngine(const ShardedStreamEngineOptions& options,
+                      bool force_per_source_rng);
+
+  /// Re-primes the aggregate slice's serve value caches (the last step
+  /// of a checkpoint restore; the caches are not serialized).
+  Status RefreshServeCaches();
 
   /// Runs one governor epoch when the tick that just finished completes
   /// an epoch window: samples every source's uplink counters, plans the

@@ -49,9 +49,9 @@ struct ServeStats {
 };
 
 /// How the engine reads answers out of its host — the only coupling
-/// between src/serve/ and the systems it serves. StreamManager, one
-/// StreamShard, and the sharded engine's aggregate level each implement
-/// this over their own server-side state. All reads are component 0 of
+/// between src/serve/ and the systems it serves. One StreamShard and
+/// the sharded engine's aggregate level each implement this over their
+/// own server-side state. All reads are component 0 of
 /// the answer (scalar streams), matching aggregate-query semantics.
 class ServeAnswerSource {
  public:

@@ -408,6 +408,107 @@ TEST(CheckpointChaosTest, SharedRngSnapshotRejectedByShardedRestore) {
             uninterrupted.uplink_traffic().dropped);
 }
 
+TEST(CheckpointChaosTest, SharedRngFusionAndServeRoundTripThroughManager) {
+  // The manager's legacy shared fault stream under every subsystem that
+  // draws from it: plain sources, a fusion group, and the serving layer
+  // with an aggregate subscription. A mid-run Save must restore into a
+  // manager that continues bit-identically to the uninterrupted run.
+  constexpr int kGroupId = 50;
+  constexpr int64_t kTicks = 80;
+  constexpr int64_t kSaveTick = 37;
+  const std::string path = SnapshotPath("shared_rng_fusion.dkfsnap");
+  StreamManagerOptions options;
+  options.channel.seed = 11;
+  options.channel.drop_probability = 0.2;
+  options.channel.per_source_rng = false;
+  options.protocol = FleetProtocol();
+  auto install = [](StreamManager& manager) {
+    for (int id = 1; id <= 4; ++id) {
+      ASSERT_TRUE(manager.RegisterSource(id, ScalarModel()).ok());
+      ContinuousQuery query;
+      query.id = id;
+      query.source_id = id;
+      query.precision = 0.5;
+      ASSERT_TRUE(manager.SubmitQuery(query).ok());
+    }
+    FusionGroupConfig group;
+    group.group_id = kGroupId;
+    group.model = ScalarModel();
+    group.member_ids = {61, 62, 63};
+    group.delta = 0.5;
+    ASSERT_TRUE(manager.RegisterFusionGroup(group).ok());
+    AggregateQuery aggregate;
+    aggregate.id = kAggregateId;
+    aggregate.source_ids = {1, 2, 3};
+    aggregate.precision = 1.5;
+    ASSERT_TRUE(manager.SubmitAggregateQuery(aggregate).ok());
+    Subscription agg;
+    agg.id = 1;
+    agg.kind = SubscriptionKind::kAggregate;
+    agg.aggregate_id = kAggregateId;
+    ASSERT_TRUE(manager.Subscribe(agg).ok());
+    Subscription fused;
+    fused.id = 2;
+    fused.kind = SubscriptionKind::kFused;
+    fused.group_id = kGroupId;
+    ASSERT_TRUE(manager.Subscribe(fused).ok());
+  };
+
+  std::vector<std::map<int, Vector>> readings;
+  Rng rng(23);
+  std::vector<double> values(5, 0.0);
+  double shared = 0.0;
+  for (int64_t t = 0; t < kTicks; ++t) {
+    std::map<int, Vector> tick;
+    for (int id = 1; id <= 4; ++id) {
+      values[static_cast<size_t>(id)] += rng.Gaussian(0.0, 0.6);
+      tick[id] = Vector{values[static_cast<size_t>(id)]};
+    }
+    shared += rng.Gaussian(0.0, 0.6);
+    for (int member : {61, 62, 63}) {
+      tick[member] = Vector{shared + rng.Gaussian(0.0, 0.2)};
+    }
+    readings.push_back(std::move(tick));
+  }
+
+  StreamManager uninterrupted(options);
+  install(uninterrupted);
+  StreamManager interrupted(options);
+  install(interrupted);
+  for (int64_t t = 0; t < kSaveTick; ++t) {
+    ASSERT_TRUE(interrupted.ProcessTick(readings[static_cast<size_t>(t)]).ok());
+  }
+  ASSERT_TRUE(interrupted.Save(path).ok());
+  auto restored_or = StreamManager::Restore(path);
+  ASSERT_TRUE(restored_or.ok()) << restored_or.status().message();
+  StreamManager& restored = *restored_or.value();
+  ASSERT_EQ(restored.ticks(), kSaveTick);
+
+  for (int64_t t = 0; t < kTicks; ++t) {
+    const std::map<int, Vector>& tick = readings[static_cast<size_t>(t)];
+    ASSERT_TRUE(uninterrupted.ProcessTick(tick).ok()) << "tick " << t;
+    if (t < kSaveTick) continue;
+    ASSERT_TRUE(restored.ProcessTick(tick).ok()) << "tick " << t;
+    for (int id = 1; id <= 4; ++id) {
+      ASSERT_EQ(restored.Answer(id).value()[0],
+                uninterrupted.Answer(id).value()[0])
+          << "tick " << t << " source " << id;
+    }
+    ASSERT_EQ(restored.AnswerFused(kGroupId).value()[0],
+              uninterrupted.AnswerFused(kGroupId).value()[0])
+        << "tick " << t;
+  }
+  const std::vector<NotificationBatch> notifications =
+      uninterrupted.DrainNotifications();
+  EXPECT_FALSE(notifications.empty());
+  EXPECT_TRUE(restored.DrainNotifications() == notifications);
+  EXPECT_GT(uninterrupted.uplink_traffic().dropped, 0);
+  EXPECT_EQ(restored.uplink_traffic().dropped,
+            uninterrupted.uplink_traffic().dropped);
+  EXPECT_EQ(restored.fusion_stats().transmissions,
+            uninterrupted.fusion_stats().transmissions);
+}
+
 // ---- serving-layer continuation --------------------------------------
 
 constexpr int64_t kServeTicks = 200;

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "models/model_factory.h"
+#include "runtime/sharded_engine.h"
 
 namespace dkf {
 namespace {
@@ -339,6 +340,90 @@ TEST(StreamManagerTest, RedundantQueryCausesNoControlMessage) {
   // A looser query on the same source changes nothing at the source.
   ASSERT_TRUE(manager.SubmitQuery(MakeQuery(2, 1, 9.0)).ok());
   EXPECT_EQ(manager.control_messages(), after_first);
+}
+
+// A malformed tick must be rejected before any filter state moves —
+// plain sources, fusion posteriors and mirrors alike — so a system that
+// saw rejected ticks stays bit-identical to a twin that never did.
+// Every bad map below has the right entry count: an unknown id in place
+// of a fusion member or a plain source, or a reading of the wrong width.
+template <typename System>
+void ExpectRejectedTicksMoveNoState(System& system, System& twin) {
+  for (System* s : {&system, &twin}) {
+    ASSERT_TRUE(s->RegisterSource(1, LinearModel()).ok());
+    ASSERT_TRUE(s->RegisterSource(2, LinearModel()).ok());
+    ASSERT_TRUE(s->SubmitQuery(MakeQuery(1, 1, 0.4)).ok());
+    ASSERT_TRUE(s->SubmitQuery(MakeQuery(2, 2, 0.4)).ok());
+    FusionGroupConfig group;
+    group.group_id = 10;
+    group.model = LinearModel();
+    group.member_ids = {11, 12};
+    group.delta = 0.4;
+    ASSERT_TRUE(s->RegisterFusionGroup(group).ok());
+  }
+  Rng rng(17);
+  double a = 0.0, b = 0.0, fused = 0.0;
+  for (int64_t t = 0; t < 80; ++t) {
+    a += rng.Gaussian(0.0, 0.3);
+    b += rng.Gaussian(0.0, 0.3);
+    fused += rng.Gaussian(0.0, 0.3);
+    const std::map<int, Vector> good = {{1, Vector{a}},
+                                        {2, Vector{b}},
+                                        {11, Vector{fused + 0.1}},
+                                        {12, Vector{fused - 0.1}}};
+    if (t % 5 == 2) {
+      std::map<int, Vector> bad = good;
+      switch ((t / 5) % 4) {
+        case 0:  // unknown id instead of a fusion member
+          bad.erase(12);
+          bad[99] = Vector{fused};
+          break;
+        case 1:  // unknown id instead of a plain source
+          bad.erase(2);
+          bad[99] = Vector{b};
+          break;
+        case 2:  // plain source reading of the wrong width
+          bad[2] = Vector{b, b};
+          break;
+        default:  // fusion member reading of the wrong width
+          bad[11] = Vector{fused, fused};
+          break;
+      }
+      const Status rejected = system.ProcessTick(bad);
+      ASSERT_EQ(rejected.code(), StatusCode::kInvalidArgument) << "tick " << t;
+      ASSERT_EQ(system.ticks(), t) << "tick " << t;
+    }
+    ASSERT_TRUE(system.ProcessTick(good).ok()) << "tick " << t;
+    ASSERT_TRUE(twin.ProcessTick(good).ok()) << "tick " << t;
+    for (int id : {1, 2}) {
+      ASSERT_EQ(system.Answer(id).value()[0], twin.Answer(id).value()[0])
+          << "tick " << t << " source " << id;
+    }
+    ASSERT_EQ(system.AnswerFused(10).value()[0],
+              twin.AnswerFused(10).value()[0])
+        << "tick " << t;
+  }
+  EXPECT_EQ(system.uplink_traffic().messages, twin.uplink_traffic().messages);
+  EXPECT_EQ(system.fusion_stats().transmissions,
+            twin.fusion_stats().transmissions);
+  EXPECT_TRUE(system.VerifyLinkConsistency().ok());
+  EXPECT_TRUE(system.VerifyFusedConsistency().ok());
+}
+
+TEST(StreamManagerTest, RejectedTickMovesNoState) {
+  // The per-source path.
+  StreamManager manager{StreamManagerOptions{}};
+  StreamManager twin{StreamManagerOptions{}};
+  ExpectRejectedTicksMoveNoState(manager, twin);
+
+  // The batched fleet path, on one shard like the manager.
+  ShardedStreamEngineOptions options;
+  options.num_shards = 1;
+  options.batched_fleet = true;
+  ShardedStreamEngine engine(options);
+  ShardedStreamEngine engine_twin(options);
+  ExpectRejectedTicksMoveNoState(engine, engine_twin);
+  EXPECT_GT(engine.fleet_resident_count(), 0u);
 }
 
 }  // namespace
