@@ -59,6 +59,7 @@ else
     --target worker_pool_test sharded_engine_test golden_trace_test \
              subscription_engine_test serve_golden_test \
              fleet_equivalence_test fleet_churn_test fleet_answer_test \
+             fleet_kernel_test half_tick_test \
              governor_test governor_chaos_test adaptive_scenarios_test \
              fusion_chaos_test stream_manager_test checkpoint_chaos_test
   "./build-${SANITIZE//,/-}/tests/worker_pool_test"
@@ -69,6 +70,10 @@ else
   "./build-${SANITIZE//,/-}/tests/fleet_equivalence_test"
   "./build-${SANITIZE//,/-}/tests/fleet_churn_test"
   "./build-${SANITIZE//,/-}/tests/fleet_answer_test"
+  # The lane kernels' differential test, and the cross-shard rejection
+  # test: every shard resolves on the driver before the pool runs any.
+  "./build-${SANITIZE//,/-}/tests/fleet_kernel_test"
+  "./build-${SANITIZE//,/-}/tests/half_tick_test"
   "./build-${SANITIZE//,/-}/tests/governor_test"
   "./build-${SANITIZE//,/-}/tests/governor_chaos_test"
   "./build-${SANITIZE//,/-}/tests/adaptive_scenarios_test"
@@ -92,6 +97,7 @@ else
              obs_property_test corruption_fuzz_test \
              subscription_engine_test serve_golden_test \
              fleet_equivalence_test fleet_churn_test fleet_answer_test \
+             fleet_kernel_test half_tick_test \
              governor_test governor_chaos_test \
              adaptive_property_test adaptive_scenarios_test \
              fusion_engine_test fusion_chaos_test fusion_checkpoint_test \
@@ -112,6 +118,10 @@ else
   ./build-asan/tests/fleet_equivalence_test
   ./build-asan/tests/fleet_churn_test
   ./build-asan/tests/fleet_answer_test
+  # The dimension-templated lane kernels index fixed-size stack scratch
+  # and the flat cold record; the rejected-tick test re-stages readings.
+  ./build-asan/tests/fleet_kernel_test
+  ./build-asan/tests/half_tick_test
   # The governor's per-epoch allocation scratch and the mid-stream
   # reconfigure spills are fresh allocation churn for ASan.
   ./build-asan/tests/governor_test
@@ -143,6 +153,7 @@ else
              confidence_test energy_model_test \
              subscription_engine_test serve_golden_test \
              fleet_equivalence_test fleet_churn_test fleet_answer_test \
+             fleet_kernel_test half_tick_test \
              governor_test governor_chaos_test \
              kalman_filter_test fast_path_test extended_kalman_filter_test \
              steady_state_test recursive_least_squares_test \
@@ -158,6 +169,7 @@ else
            confidence_test energy_model_test \
            subscription_engine_test serve_golden_test \
            fleet_equivalence_test fleet_churn_test fleet_answer_test \
+           fleet_kernel_test half_tick_test \
            governor_test governor_chaos_test \
            kalman_filter_test fast_path_test extended_kalman_filter_test \
            steady_state_test recursive_least_squares_test \

@@ -13,14 +13,14 @@ Status ServerNode::RegisterSource(int source_id, const StateModel& model) {
   }
   auto predictor_or = KalmanPredictor::Create(model);
   if (!predictor_or.ok()) return predictor_or.status();
-  predictors_[source_id] = predictor_or.value().Clone();
-  predictors_[source_id]->SetTrace(obs_sink_, source_id,
-                                   TraceActor::kServerFilter);
+  auto predictor =
+      std::make_unique<KalmanPredictor>(std::move(predictor_or).value());
+  predictor->SetTrace(obs_sink_, source_id, TraceActor::kServerFilter);
+  predictors_[source_id] = std::move(predictor);
   LinkState link;
   // The staleness clock starts at registration, not at tick 0.
   link.last_valid_tick = ticks_done_ - 1;
-  if (protocol_.adaptive.enabled &&
-      predictors_[source_id]->AdaptableFilter() != nullptr) {
+  if (protocol_.adaptive.enabled) {
     auto adapter_or = NoiseAdapter::Create(protocol_.adaptive, model);
     if (!adapter_or.ok()) return adapter_or.status();
     link.adapter = std::move(adapter_or).value();

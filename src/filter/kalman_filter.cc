@@ -51,15 +51,59 @@ Status ValidateOptions(const KalmanFilterOptions& options) {
 }  // namespace
 
 Matrix ProjectCovariance(const Matrix& p, const Matrix& h, const Matrix& r) {
-  // Same kernel chain as InnovationCovariance, then -R and Symmetrize.
-  Matrix ph_t;
-  MultiplyTransposedInto(p, h, &ph_t);
-  Matrix projected;
-  MultiplyInto(h, ph_t, &projected);
-  AddScaledInto(projected, r, 1.0, &projected);
-  projected -= r;
-  projected.Symmetrize();
+  Matrix projected(h.rows(), h.rows());
+  ProjectCovarianceInto(p.RowData(0), h.RowData(0), r.RowData(0), p.rows(),
+                        h.rows(), projected.MutableRowData(0));
   return projected;
+}
+
+void ProjectCovarianceInto(const double* p, const double* h, const double* r,
+                           size_t n, size_t m, double* out) {
+  // Same kernel chain as InnovationCovariance (MultiplyTransposedInto,
+  // MultiplyInto, AddScaledInto — zero-skips included), then -R and
+  // Symmetrize. ph_t = P H^T (n x m) lives inline for n <= 6.
+  double inline_ph_t[kMatrixInlineCapacity];
+  std::vector<double> heap_ph_t;
+  double* ph_t = inline_ph_t;
+  if (n * m > kMatrixInlineCapacity) {
+    heap_ph_t.resize(n * m);
+    ph_t = heap_ph_t.data();
+  }
+  for (size_t row = 0; row < n; ++row) {
+    const double* p_row = p + row * n;
+    for (size_t c = 0; c < m; ++c) {
+      const double* h_row = h + c * n;
+      double sum = 0.0;
+      for (size_t k = 0; k < n; ++k) {
+        const double av = p_row[k];
+        if (av == 0.0) continue;
+        sum += av * h_row[k];
+      }
+      ph_t[row * m + c] = sum;
+    }
+  }
+  for (size_t i = 0; i < m * m; ++i) out[i] = 0.0;
+  for (size_t row = 0; row < m; ++row) {
+    const double* h_row = h + row * n;
+    double* out_row = out + row * m;
+    for (size_t k = 0; k < n; ++k) {
+      const double av = h_row[k];
+      if (av == 0.0) continue;
+      const double* b_row = ph_t + k * m;
+      for (size_t c = 0; c < m; ++c) out_row[c] += av * b_row[c];
+    }
+  }
+  for (size_t i = 0; i < m * m; ++i) {
+    out[i] = out[i] + 1.0 * r[i];
+    out[i] -= r[i];
+  }
+  for (size_t row = 0; row < m; ++row) {
+    for (size_t c = row + 1; c < m; ++c) {
+      const double avg = 0.5 * (out[row * m + c] + out[c * m + row]);
+      out[row * m + c] = avg;
+      out[c * m + row] = avg;
+    }
+  }
 }
 
 KalmanFilter::KalmanFilter(KalmanFilterOptions options)

@@ -79,6 +79,13 @@ struct KalmanFilterOptions {
 /// fleet lanes) goes through this one chain so they all round alike.
 Matrix ProjectCovariance(const Matrix& p, const Matrix& h, const Matrix& r);
 
+/// ProjectCovariance on flat row-major storage: `p` is n x n, `h` m x n,
+/// `r` and `out` m x m. The one home of the projection's operation
+/// order — the Matrix overload above wraps it, and the batched fleet
+/// projects straight off its lanes through it.
+void ProjectCovarianceInto(const double* p, const double* h, const double* r,
+                           size_t n, size_t m, double* out);
+
 /// Discrete Kalman filter over double-valued states.
 ///
 /// Usage per tick: call Predict() once (propagates the estimate through

@@ -1,7 +1,6 @@
 #include "fleet/fleet_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <unordered_set>
 
@@ -101,33 +100,34 @@ std::string ModelKey(const StateModel& model) {
   return key;
 }
 
-/// out = a x for row-major `a` (rows x cols): flat MultiplyInto(Matrix,
-/// Vector) and Matrix::operator*(Vector) — plain ascending sums, no
-/// zero-skip.
-void MultiplyFlat(const double* a, const double* x, size_t rows, size_t cols,
-                  double* out) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double* a_row = a + r * cols;
-    double sum = 0.0;
-    for (size_t c = 0; c < cols; ++c) sum += a_row[c] * x[c];
-    out[r] = sum;
-  }
-}
-
-bool AllFinite(const double* v, size_t count) {
-  bool finite = true;
-  for (size_t i = 0; i < count; ++i) {
-    if (!std::isfinite(v[i])) finite = false;
-  }
-  return finite;
-}
-
 void FlattenMatrix(const Matrix& m, std::vector<double>* out) {
   out->resize(m.rows() * m.cols());
   if (!out->empty()) {
     std::memcpy(out->data(), m.RowData(0), out->size() * sizeof(double));
   }
 }
+
+/// How many lanes ahead TickGroupLanesN prefetches readings.
+constexpr size_t kPrefetchLanes = 8;
+
+Matrix FlatMatrix(const double* src, size_t rows, size_t cols) {
+  Matrix out(rows, cols);
+  std::memcpy(out.MutableRowData(0), src, rows * cols * sizeof(double));
+  return out;
+}
+
+/// Offsets into one lane's cold record (Group::cold), in doubles.
+struct ColdLayout {
+  ColdLayout(size_t n, size_t m) : nn(n * n), nm(n * m) {}
+  size_t prior_p(int i) const { return static_cast<size_t>(i) * nn; }
+  size_t post_p(int i) const { return (2 + static_cast<size_t>(i)) * nn; }
+  size_t prev_post(int i) const { return (4 + static_cast<size_t>(i)) * nn; }
+  size_t gain(int i) const { return 6 * nn + static_cast<size_t>(i) * nm; }
+  size_t prev_gain() const { return 6 * nn + 2 * nm; }
+  size_t innovation() const { return 6 * nn + 3 * nm; }
+  size_t nn;
+  size_t nm;
+};
 
 }  // namespace
 
@@ -153,6 +153,8 @@ Result<int> FleetEngine::GroupFor(const StateModel& model) {
   FlattenMatrix(model.options.measurement, &group->h);
   FlattenMatrix(model.options.process_noise, &group->q);
   FlattenMatrix(model.options.measurement_noise, &group->r);
+  group->cold_stride =
+      ColdLayout(group->n, group->m).innovation() + group->m;
   // The cached coefficients are derived once per group instead of per
   // source; they must be the very bits the filter's own transition lookup
   // produces, or the flat kernels would not be bit-identical to Predict.
@@ -161,9 +163,6 @@ Result<int> FleetEngine::GroupFor(const StateModel& model) {
     return Status::Internal(
         "cached transition coefficients diverge from TransitionAt output");
   }
-  group->sx.resize(group->n);
-  group->sp1.resize(group->n * group->n);
-  group->sp2.resize(group->n * group->n);
   const int index = static_cast<int>(groups_.size());
   groups_.push_back(std::move(group));
   group_by_key_[std::move(key)] = index;
@@ -185,71 +184,129 @@ Status FleetEngine::Track(int source_id, const StateModel& model,
 }
 
 KalmanFilter::FullState FleetEngine::LaneFullState(const Group& g,
-                                                   size_t lane) const {
-  KalmanFilter::FullState f = g.cold[lane];
+                                                   size_t lane) {
   const size_t n = g.n;
+  const size_t m = g.m;
+  const ColdLayout at(n, m);
+  const double* rec = &g.cold[lane * g.cold_stride];
+  const ColdCounters& counters = g.cold_counters[lane];
+  KalmanFilter::FullState f;
   f.x = Vector(n);
   std::memcpy(f.x.data(), &g.x[lane * n], n * sizeof(double));
-  if (g.p_stale[lane]) {
-    // Armed lanes defer the frozen-covariance copy; the filter's own fast
-    // path assigns p <- ss_prior_p[ss_idx] eagerly, so reconstruct that.
-    f.p = f.ss_prior_p[g.ss_idx[lane]];
-  } else {
-    f.p = Matrix(n, n);
-    std::memcpy(f.p.MutableRowData(0), &g.p[lane * n * n],
-                n * n * sizeof(double));
-  }
+  f.p = FlatMatrix(LaneCovariance(g, lane), n, n);
   f.step = g.step[lane];
-  f.predicts_since_correct = g.psc[lane];
+  if (counters.has_innovation) {
+    f.last_innovation = Vector(m);
+    std::memcpy(f.last_innovation.data(), rec + at.innovation(),
+                m * sizeof(double));
+  }
+  f.process_noise = FlatMatrix(g.q.data(), n, n);
+  f.measurement_noise = FlatMatrix(g.r.data(), m, m);
   f.phase = g.phase[lane];
   f.ss_mode = g.ss_mode[lane];
+  f.ss_streak1 = counters.ss_streak1;
+  f.ss_streak2 = counters.ss_streak2;
+  f.predicts_since_correct = g.psc[lane];
+  f.ss_have_prev = counters.ss_have_prev;
+  for (int i = 0; i < 2; ++i) {
+    f.ss_prev_post[i] = FlatMatrix(rec + at.prev_post(i), n, n);
+    f.ss_gain[i] = FlatMatrix(rec + at.gain(i), n, m);
+    f.ss_prior_p[i] = FlatMatrix(rec + at.prior_p(i), n, n);
+    f.ss_post_p[i] = FlatMatrix(rec + at.post_p(i), n, n);
+  }
+  f.ss_prev_gain = FlatMatrix(rec + at.prev_gain(), n, m);
+  f.ss_period = g.ss_period[lane];
+  f.ss_pending_priors = counters.ss_pending_priors;
+  f.ss_capture_idx = counters.ss_capture_idx;
   f.ss_idx = g.ss_idx[lane];
   return f;
+}
+
+const double* FleetEngine::LaneCovariance(const Group& g, size_t lane) {
+  const size_t nn = g.n * g.n;
+  // The filter's own fast path assigns p <- ss_prior_p[ss_idx] eagerly;
+  // an armed lane defers that copy, so read the prior in its place.
+  if (!g.p_stale[lane]) return &g.p[lane * nn];
+  return &g.cold[lane * g.cold_stride +
+                 ColdLayout(g.n, g.m).prior_p(g.ss_idx[lane])];
+}
+
+void FleetEngine::StoreCold(Group& g, size_t lane,
+                            const KalmanFilter::FullState& full) {
+  const ColdLayout at(g.n, g.m);
+  double* rec = &g.cold[lane * g.cold_stride];
+  const auto put = [rec](size_t offset, const Matrix& matrix) {
+    std::memcpy(rec + offset, matrix.RowData(0),
+                matrix.rows() * matrix.cols() * sizeof(double));
+  };
+  for (int i = 0; i < 2; ++i) {
+    put(at.prior_p(i), full.ss_prior_p[i]);
+    put(at.post_p(i), full.ss_post_p[i]);
+    put(at.prev_post(i), full.ss_prev_post[i]);
+    put(at.gain(i), full.ss_gain[i]);
+  }
+  put(at.prev_gain(), full.ss_prev_gain);
+  ColdCounters& counters = g.cold_counters[lane];
+  counters.has_innovation = full.last_innovation.size() == g.m ? 1 : 0;
+  if (counters.has_innovation) {
+    std::memcpy(rec + at.innovation(), full.last_innovation.data(),
+                g.m * sizeof(double));
+  }
+  counters.ss_streak1 = full.ss_streak1;
+  counters.ss_streak2 = full.ss_streak2;
+  counters.ss_have_prev = full.ss_have_prev;
+  counters.ss_pending_priors = full.ss_pending_priors;
+  counters.ss_capture_idx = full.ss_capture_idx;
+  g.ss_period[lane] = full.ss_period;
 }
 
 Result<SourceNode::CheckpointState> FleetEngine::SynthesizeSourceState(
     const LaneRef& ref) const {
   const Group& g = *groups_[ref.group];
-  const size_t lane = ref.lane;
-  const int id = g.ids[lane];
+  const int id = g.ids[ref.lane];
   auto node_it = nodes_.find(id);
   if (node_it == nodes_.end()) {
     return Status::NotFound(StrFormat("source %d not tracked", id));
   }
   DKF_ASSIGN_OR_RETURN(SourceNode::CheckpointState state,
                        node_it->second->ExportCheckpoint());
-  // The dormant node still holds everything a lane never advances (delta,
-  // sequence counter, divergence machine, fault counters); overlay the
-  // fields the lane does move.
-  state.mirror = LaneFullState(g, lane);
-  state.readings = g.readings[lane];
-  state.energy_transmission = g.energy_transmission[lane];
-  state.energy_compute = g.energy_compute[lane];
-  state.energy_sensing = g.energy_sensing[lane];
-  state.last_send_tick = g.last_send_tick[lane];
+  OverlayLane(g, ref.lane, &state);
   return state;
 }
 
 ServerNode::LinkSnapshot FleetEngine::SynthesizeLinkState(
     const LaneRef& ref) const {
   const Group& g = *groups_[ref.group];
-  const size_t lane = ref.lane;
+  ServerNode::LinkSnapshot link =
+      LaneLink(*nodes_.at(g.ids[ref.lane]), g, ref.lane);
+  link.predictor = LaneFullState(g, ref.lane);
+  return link;
+}
+
+void FleetEngine::OverlayLane(const Group& g, size_t lane,
+                              SourceNode::CheckpointState* state) {
+  state->mirror = LaneFullState(g, lane);
+  state->readings = g.readings[lane];
+  state->energy_transmission = g.energy_transmission[lane];
+  state->energy_compute = g.energy_compute[lane];
+  state->energy_sensing = g.energy_sensing[lane];
+  state->last_send_tick = g.last_send_tick[lane];
+}
+
+ServerNode::LinkSnapshot FleetEngine::LaneLink(const SourceNode& node,
+                                               const Group& g, size_t lane) {
   ServerNode::LinkSnapshot link;
   link.last_sequence = g.link_last_sequence[lane];
   link.last_valid_tick = g.link_last_valid_tick[lane];
   link.last_resync_tick = g.link_last_resync_tick[lane];
   link.last_update_tick = g.link_last_update_tick[lane];
   // Mirror and predictor are bitwise equal while resident — one lane IS
-  // the whole dual link — so the same reconstruction serves both. The
-  // same holds for the noise servo (absorption required the two adapter
-  // states bit-equal, and corrections — the only thing that moves them —
-  // never happen on a resident lane), so the dormant node's state stands
-  // in for the server's.
-  link.predictor = LaneFullState(g, lane);
-  auto node_it = nodes_.find(g.ids[lane]);
-  if (node_it != nodes_.end()) {
-    link.adapt = node_it->second->noise_adapter().ExportState();
-  }
+  // the whole dual link — so the mirror's reconstruction serves as the
+  // predictor. The same holds for the noise servo (absorption required
+  // the two adapter states bit-equal, and corrections — the only thing
+  // that moves them — never happen on a resident lane), so the dormant
+  // node's state stands in for the server's.
+  link.adapt = node.noise_adapter().ExportState();
   return link;
 }
 
@@ -280,7 +337,9 @@ size_t FleetEngine::AddLane(Group& g, int source_id,
   g.link_last_update_tick.push_back(link.last_update_tick);
   g.ss_period.push_back(m.ss_period);
   g.value_ptrs.push_back(nullptr);
-  g.cold.push_back(m);
+  g.cold.resize(g.cold.size() + g.cold_stride);
+  g.cold_counters.emplace_back();
+  StoreCold(g, lane, m);
   return lane;
 }
 
@@ -311,7 +370,9 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
     g.link_last_update_tick[lane] = g.link_last_update_tick[last];
     g.ss_period[lane] = g.ss_period[last];
     g.value_ptrs[lane] = g.value_ptrs[last];
-    g.cold[lane] = std::move(g.cold[last]);
+    std::memcpy(&g.cold[lane * g.cold_stride], &g.cold[last * g.cold_stride],
+                g.cold_stride * sizeof(double));
+    g.cold_counters[lane] = g.cold_counters[last];
     resident_[moved].lane = lane;
     if (TickEntry* entry = FindEntry(moved)) {
       entry->lane = static_cast<int32_t>(lane);
@@ -338,7 +399,8 @@ void FleetEngine::RemoveLane(Group& g, size_t lane) {
   g.link_last_update_tick.pop_back();
   g.ss_period.pop_back();
   g.value_ptrs.pop_back();
-  g.cold.pop_back();
+  g.cold.resize(g.cold.size() - g.cold_stride);
+  g.cold_counters.pop_back();
 }
 
 Status FleetEngine::SpillLane(int group_index, size_t lane, int64_t tick,
@@ -347,11 +409,15 @@ Status FleetEngine::SpillLane(int group_index, size_t lane, int64_t tick,
   const int id = g.ids[lane];
   SourceNode* node = nodes_.at(id);
 
-  const LaneRef ref{group_index, lane};
-  DKF_ASSIGN_OR_RETURN(SourceNode::CheckpointState synth,
-                       SynthesizeSourceState(ref));
-  ServerNode::LinkSnapshot link = SynthesizeLinkState(ref);
+  // One FullState serves both ends: the node imports it as its mirror,
+  // then the server's link takes it over as its predictor.
+  auto synth_or = node->ExportCheckpoint();
+  if (!synth_or.ok()) return synth_or.status();
+  SourceNode::CheckpointState& synth = synth_or.value();
+  OverlayLane(g, lane, &synth);
   DKF_RETURN_IF_ERROR(node->ImportCheckpoint(synth));
+  ServerNode::LinkSnapshot link = LaneLink(*node, g, lane);
+  link.predictor = std::move(synth.mirror);
   // Register with the source's *nominal* model, not the (possibly
   // adapted) group model: the server builds its NoiseAdapter from the
   // registration model, and the servo's scales are relative to nominal.
@@ -541,76 +607,26 @@ void FleetEngine::AccountDegradedLanes() {
   }
 }
 
-bool FleetEngine::PredictLane(Group& g, size_t lane, bool armed) {
-  const size_t n = g.n;
-  const double* phi = g.phi.data();
-  double* sx = g.sx.data();
-  // x <- phi x: flat MultiplyInto(Matrix, Vector), plain ascending sums.
-  MultiplyFlat(phi, &g.x[lane * n], n, n, sx);
-  bool finite = AllFinite(sx, n);
-  if (armed) return finite;  // the covariance snaps along the frozen cycle
-  // P <- phi P phi^T + Q, then Symmetrize: flat replicas of the in-place
-  // kernels, including their zero-skip structure, so every accumulation
-  // happens in the same order on the same values.
-  const double* p = &g.p[lane * n * n];
-  double* sp1 = g.sp1.data();
-  double* sp2 = g.sp2.data();
-  // sp1 = phi P (MultiplyInto: skip zero phi entries, accumulate rows).
-  std::memset(sp1, 0, n * n * sizeof(double));
-  for (size_t r = 0; r < n; ++r) {
-    const double* phi_row = phi + r * n;
-    double* out_row = sp1 + r * n;
-    for (size_t k = 0; k < n; ++k) {
-      const double av = phi_row[k];
-      if (av == 0.0) continue;
-      const double* p_row = p + k * n;
-      for (size_t c = 0; c < n; ++c) out_row[c] += av * p_row[c];
-    }
-  }
-  // sp2 = sp1 phi^T (MultiplyTransposedInto: skip zero sp1 entries).
-  for (size_t r = 0; r < n; ++r) {
-    const double* a_row = sp1 + r * n;
-    double* out_row = sp2 + r * n;
-    for (size_t c = 0; c < n; ++c) {
-      const double* b_row = phi + c * n;
-      double sum = 0.0;
-      for (size_t k = 0; k < n; ++k) {
-        const double av = a_row[k];
-        if (av == 0.0) continue;
-        sum += av * b_row[k];
-      }
-      out_row[c] = sum;
-    }
-  }
-  // P' = sp2 + Q (AddScaledInto with scale 1.0), then Symmetrize.
-  const double* q = g.q.data();
-  for (size_t i = 0; i < n * n; ++i) sp2[i] = sp2[i] + 1.0 * q[i];
-  for (size_t r = 0; r < n; ++r) {
-    for (size_t c = r + 1; c < n; ++c) {
-      const double avg = 0.5 * (sp2[r * n + c] + sp2[c * n + r]);
-      sp2[r * n + c] = avg;
-      sp2[c * n + r] = avg;
-    }
-  }
-  return finite && AllFinite(sp2, n * n);
+template <size_t N>
+bool FleetEngine::PredictLane(const Group& g, size_t lane, bool armed,
+                              lane::Scratch<N>* s) {
+  const size_t n = lane::Dim<N>(g.n);
+  return lane::Predict<N>(n, g.phi.data(), g.q.data(), &g.x[lane * n],
+                          &g.p[lane * n * n], armed, s);
 }
 
-double FleetEngine::LaneDeviation(const Group& g, size_t lane) const {
-  // Deviation(H x, z, kMaxAbs) on the predicted state in sx.
-  const Vector& z = *g.value_ptrs[lane];
-  double deviation = 0.0;
-  for (size_t r = 0; r < g.m; ++r) {
-    const double* h_row = &g.h[r * g.n];
-    double sum = 0.0;
-    for (size_t c = 0; c < g.n; ++c) sum += h_row[c] * g.sx[c];
-    deviation = std::max(deviation, std::fabs(sum - z[r]));
-  }
-  return deviation;
+template <size_t N>
+double FleetEngine::LaneDeviation(const Group& g, size_t lane,
+                                  const lane::Scratch<N>& s) {
+  return lane::Deviation<N>(g.n, g.m, g.h.data(), s.x(),
+                            g.value_ptrs[lane]->data());
 }
 
-void FleetEngine::CommitPredict(Group& g, size_t lane, bool armed) {
-  const size_t n = g.n;
-  std::memcpy(&g.x[lane * n], g.sx.data(), n * sizeof(double));
+template <size_t N>
+void FleetEngine::CommitPredict(Group& g, size_t lane, bool armed,
+                                const lane::Scratch<N>& s) {
+  const size_t n = lane::Dim<N>(g.n);
+  std::memcpy(&g.x[lane * n], s.x(), n * sizeof(double));
   if (armed) {
     // (ss_idx + 1) % period without the integer divide: ss_idx stays in
     // [0, period), so the wrap is a single compare. The p <- ss_prior_p
@@ -619,7 +635,7 @@ void FleetEngine::CommitPredict(Group& g, size_t lane, bool armed) {
     g.ss_idx[lane] = next_idx == g.ss_period[lane] ? 0 : next_idx;
     g.p_stale[lane] = 1;
   } else {
-    std::memcpy(&g.p[lane * n * n], g.sp2.data(), n * n * sizeof(double));
+    std::memcpy(&g.p[lane * n * n], s.p2(), n * n * sizeof(double));
   }
   ++g.step[lane];
   ++g.psc[lane];
@@ -638,12 +654,13 @@ void FleetEngine::AccountSuppressed(Group& g, size_t lane, int64_t tick,
             TraceActor::kSource, deviation, g.delta[lane]);
 }
 
+template <size_t N>
 Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
-                             bool* spilled) {
+                             lane::Scratch<N>* s, bool* spilled) {
   Group& g = *groups_[group_index];
   const int id = g.ids[lane];
   const Vector* z = g.value_ptrs[lane];
-  const size_t n = g.n;
+  const size_t n = lane::Dim<N>(g.n);
 
   // A due heartbeat touches the channel whatever the deviation says
   // (suppressed -> heartbeat, violated -> measurement), so the per-source
@@ -683,7 +700,7 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
     replay.SetTrace(nullptr, 0, TraceActor::kSourceFilter);
     DKF_ASSIGN_OR_RETURN(KalmanFilter::FullState post,
                          replay.ExportFullState());
-    g.cold[lane] = post;
+    StoreCold(g, lane, post);
     std::memcpy(&g.x[lane * n], post.x.data(), n * sizeof(double));
     std::memcpy(&g.p[lane * n * n], post.p.RowData(0),
                 n * n * sizeof(double));
@@ -704,43 +721,66 @@ Status FleetEngine::TickLane(int group_index, size_t lane, int64_t tick,
     // frozen cycle (DisarmSteadyState). Both halves of the dual link
     // disarm at the same step; the server filter's event lands first
     // because TickAll runs before the source loop.
-    const double period = static_cast<double>(g.cold[lane].ss_period);
+    const double period = static_cast<double>(g.ss_period[lane]);
     DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
               TraceActor::kServerFilter, period);
     DKF_TRACE(obs_sink_, g.step[lane], id, TraceEventKind::kFastPathDisarm,
               TraceActor::kSourceFilter, period);
     g.ss_mode[lane] = kSsTracking;
-    g.cold[lane].ss_streak1 = 0;
-    g.cold[lane].ss_streak2 = 0;
-    g.cold[lane].ss_have_prev = 0;
+    ColdCounters& counters = g.cold_counters[lane];
+    counters.ss_streak1 = 0;
+    counters.ss_streak2 = 0;
+    counters.ss_have_prev = 0;
     if (g.p_stale[lane]) {
-      std::memcpy(&g.p[lane * n * n],
-                  g.cold[lane].ss_prior_p[g.ss_idx[lane]].RowData(0),
+      std::memcpy(&g.p[lane * n * n], LaneCovariance(g, lane),
                   n * n * sizeof(double));
       g.p_stale[lane] = 0;
     }
   }
   // Armed fast path (KalmanFilter::Predict, armed branch) or the
   // tracking-mode slow predict.
-  if (!PredictLane(g, lane, armed)) {
+  if (!PredictLane<N>(g, lane, armed, s)) {
     return Status::Internal("filter state diverged to non-finite values");
   }
-  const double deviation = LaneDeviation(g, lane);
+  const double deviation = LaneDeviation<N>(g, lane, *s);
   if (deviation > g.delta[lane]) {
     DKF_RETURN_IF_ERROR(SpillLane(group_index, lane, tick, z));
     *spilled = true;
     return Status::OK();
   }
-  CommitPredict(g, lane, armed);
+  CommitPredict<N>(g, lane, armed, *s);
   AccountSuppressed(g, lane, tick, deviation);
   return Status::OK();
 }
 
 Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
+  switch (groups_[group_index]->n) {
+    case 1: return TickGroupLanesN<1>(group_index, tick);
+    case 2: return TickGroupLanesN<2>(group_index, tick);
+    case 3: return TickGroupLanesN<3>(group_index, tick);
+    case 4: return TickGroupLanesN<4>(group_index, tick);
+    case 5: return TickGroupLanesN<5>(group_index, tick);
+    case 6: return TickGroupLanesN<6>(group_index, tick);
+    default: return TickGroupLanesN<0>(group_index, tick);
+  }
+}
+
+template <size_t N>
+Status FleetEngine::TickGroupLanesN(int group_index, int64_t tick) {
   Group& g = *groups_[group_index];
+  lane::Scratch<N> s(g.n);
   const int64_t hb_interval = protocol_.heartbeat_interval;
   size_t lane = 0;
   while (lane < g.ids.size()) {
+    // Lanes sit in swap-removal order, so their readings are scattered
+    // across the batch the driver thread just wrote: fetch a few lanes
+    // ahead so the reading's cache lines are in flight before use.
+    if (lane + kPrefetchLanes < g.ids.size()) {
+      const char* ahead =
+          reinterpret_cast<const char*>(g.value_ptrs[lane + kPrefetchLanes]);
+      __builtin_prefetch(ahead);
+      __builtin_prefetch(ahead + sizeof(Vector) - 1);
+    }
     // The two hot cases, replicated from TickLane: no heartbeat due,
     // and either the armed frozen-gain predict (corrected last tick) or
     // the tracking-mode slow predict (the steady regime of a
@@ -753,10 +793,10 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
       const uint8_t mode = g.ss_mode[lane];
       const bool armed = mode == kSsArmed && g.phase[lane] == kPhaseCorrected;
       if ((armed || (mode == kSsTracking && !g.p_stale[lane])) &&
-          PredictLane(g, lane, armed)) {
-        const double deviation = LaneDeviation(g, lane);
+          PredictLane<N>(g, lane, armed, &s)) {
+        const double deviation = LaneDeviation<N>(g, lane, s);
         if (deviation <= g.delta[lane]) {
-          CommitPredict(g, lane, armed);
+          CommitPredict<N>(g, lane, armed, s);
           AccountSuppressed(g, lane, tick, deviation);
           ++lane;
           continue;
@@ -764,7 +804,7 @@ Status FleetEngine::TickGroupLanes(int group_index, int64_t tick) {
       }
     }
     bool spilled = false;
-    DKF_RETURN_IF_ERROR(TickLane(group_index, lane, tick, &spilled));
+    DKF_RETURN_IF_ERROR(TickLane<N>(group_index, lane, tick, &s, &spilled));
     // A spill swap-removed this lane; the moved lane (if any) now sits
     // at the same index and still needs its tick.
     if (!spilled) ++lane;
@@ -907,7 +947,8 @@ int64_t FleetEngine::LaneOverdue(const Group& g, size_t lane) const {
 Vector FleetEngine::Answer(const LaneRef& ref) const {
   const Group& g = *groups_[ref.group];
   Vector value(g.m);
-  MultiplyFlat(g.h.data(), &g.x[ref.lane * g.n], g.m, g.n, value.data());
+  lane::MultiplyVector<0>(g.n, g.m, g.h.data(), &g.x[ref.lane * g.n],
+                          value.data());
   return value;
 }
 
@@ -915,36 +956,21 @@ ServerNode::ConfidentAnswer FleetEngine::AnswerWithConfidence(
     const LaneRef& ref) const {
   const Group& g = *groups_[ref.group];
   const size_t lane = ref.lane;
-  const KalmanFilter::FullState& cold = g.cold[lane];
   ServerNode::ConfidentAnswer answer;
   answer.value = Answer(ref);
-  // P as LaneFullState would rebuild it: the frozen cycle's prior while
-  // an armed lane defers the copy, else the live flat covariance. R is
-  // the lane's own, so groups keyed by adapted noise answer exactly.
-  Matrix live;
-  const Matrix* p = &live;
-  if (g.p_stale[lane]) {
-    p = &cold.ss_prior_p[g.ss_idx[lane]];
-  } else {
-    live = Matrix(g.n, g.n);
-    std::memcpy(live.MutableRowData(0), &g.p[lane * g.n * g.n],
-                g.n * g.n * sizeof(double));
-  }
-  answer.covariance =
-      ProjectCovariance(*p, g.model.options.measurement,
-                        cold.measurement_noise);
+  // R is the group's, which absorption made bit-equal to the lane's own,
+  // so groups keyed by adapted noise answer exactly.
+  Matrix& covariance = answer.covariance.emplace(g.m, g.m);
+  double* flat = covariance.MutableRowData(0);
+  ProjectCovarianceInto(LaneCovariance(g, lane), g.h.data(), g.r.data(),
+                        g.n, g.m, flat);
   // Degraded flag + inflation, replicating ServerNode::AnswerWithConfidence.
   const int64_t overdue = LaneOverdue(g, lane);
   if (overdue > 0) {
     answer.degraded = true;
     const double scale =
         1.0 + protocol_.degraded_inflation * static_cast<double>(overdue);
-    Matrix& covariance = *answer.covariance;
-    for (size_t r = 0; r < covariance.rows(); ++r) {
-      for (size_t c = 0; c < covariance.cols(); ++c) {
-        covariance(r, c) *= scale;
-      }
-    }
+    for (size_t i = 0; i < g.m * g.m; ++i) flat[i] *= scale;
   }
   return answer;
 }

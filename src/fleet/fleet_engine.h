@@ -19,6 +19,7 @@
 #include "dsms/protocol.h"
 #include "dsms/server_node.h"
 #include "dsms/source_node.h"
+#include "fleet/lane_kernel.h"
 #include "models/state_model.h"
 #include "obs/trace_sink.h"
 
@@ -141,8 +142,10 @@ class FleetEngine {
   /// Answer surface for resident sources (the shard routes here when the
   /// server has no predictor for the id). Bit-identical to what the
   /// ServerNode would produce for the same link state: H x and the
-  /// projected covariance are read straight off the lane, through the
-  /// same arithmetic KalmanPredictor runs (ProjectCovariance).
+  /// projected covariance are read straight off the flat lane (P, or the
+  /// frozen prior an armed lane defers) and the group's H and R, through
+  /// the one projection kernel KalmanPredictor runs too
+  /// (ProjectCovarianceInto).
   Vector Answer(const LaneRef& ref) const;
   ServerNode::ConfidentAnswer AnswerWithConfidence(const LaneRef& ref) const;
   bool answer_degraded(const LaneRef& ref) const;
@@ -170,6 +173,17 @@ class FleetEngine {
   static constexpr uint8_t kSsTracking = 0;
   static constexpr uint8_t kSsArmPending = 1;
   static constexpr uint8_t kSsArmed = 2;
+
+  /// The per-lane FullState counters a suppressed predict never touches
+  /// (the frozen matrices beside them live in Group::cold).
+  struct ColdCounters {
+    int32_t ss_streak1 = 0;
+    int32_t ss_streak2 = 0;
+    int32_t ss_have_prev = 0;
+    int32_t ss_pending_priors = 0;
+    int32_t ss_capture_idx = 0;
+    uint8_t has_innovation = 0;  // last_innovation holds m entries
+  };
 
   /// One tracked source in the tick order (order_ below).
   struct TickEntry {
@@ -216,21 +230,20 @@ class FleetEngine {
     std::vector<int64_t> link_last_valid_tick;
     std::vector<int64_t> link_last_resync_tick;
     std::vector<int64_t> link_last_update_tick;
-    // Frozen-cycle length, duplicated out of `cold` so the armed predict
-    // never touches the big cold structs.
-    std::vector<int32_t> ss_period;
+    std::vector<int32_t> ss_period;  // frozen-cycle length
     // The per-tick resolved reading pointer.
     std::vector<const Vector*> value_ptrs;
 
-    // Cold per-lane state: the complete FullState fields a suppressed
-    // predict never touches (frozen gain/covariance cycle, streak
-    // history, noise copies), plus the armed path's ss_prior_p source.
-    std::vector<KalmanFilter::FullState> cold;
-
-    // Flat scratch for the decide-before-commit predict.
-    std::vector<double> sx;   // n
-    std::vector<double> sp1;  // n*n
-    std::vector<double> sp2;  // n*n
+    // Cold per-lane record (docs/fleet.md "Batch layout"): the FullState
+    // fields a suppressed predict never touches, flat and sized by n and
+    // m — `cold_stride` doubles per lane, laid out as ss_prior_p[0..1],
+    // ss_post_p[0..1], ss_prev_post[0..1] (n x n each), ss_gain[0..1],
+    // ss_prev_gain (n x m each), last_innovation (m) — plus the counters.
+    // Q and R are not copied per lane: absorption requires them bit-equal
+    // to the group's flats above.
+    size_t cold_stride = 0;
+    std::vector<double> cold;
+    std::vector<ColdCounters> cold_counters;
 
     // Replay filter: executes the rare arm-pending tick through the real
     // filter so the freeze transition stays bit-exact, trace included.
@@ -242,7 +255,28 @@ class FleetEngine {
   Result<int> GroupFor(const StateModel& model);
 
   /// Reconstructs the lane's FullState (mirror == predictor bitwise).
-  KalmanFilter::FullState LaneFullState(const Group& g, size_t lane) const;
+  static KalmanFilter::FullState LaneFullState(const Group& g, size_t lane);
+
+  /// The lane's covariance as its filter holds it (n x n, row-major):
+  /// the flat `p`, or the frozen prior ss_prior_p[ss_idx] from the cold
+  /// record while an armed lane defers that copy.
+  static const double* LaneCovariance(const Group& g, size_t lane);
+
+  /// Writes the cold fields of `full` into lane `lane`'s cold record.
+  static void StoreCold(Group& g, size_t lane,
+                        const KalmanFilter::FullState& full);
+
+  /// Overlays the fields lane `lane` advances — the mirror
+  /// (LaneFullState) and the accounting — onto `state`, its dormant
+  /// SourceNode's export (which holds every field a lane never moves).
+  static void OverlayLane(const Group& g, size_t lane,
+                          SourceNode::CheckpointState* state);
+
+  /// The server link lane `lane` stands for, all but its predictor
+  /// (LaneFullState(g, lane) — the mirror's bits): `node` is the
+  /// source's dormant SourceNode.
+  static ServerNode::LinkSnapshot LaneLink(const SourceNode& node,
+                                           const Group& g, size_t lane);
 
   /// ServerNode::OverdueTicks for a resident lane at the last completed
   /// tick: > 0 exactly when ServerNode::IsDegraded would hold.
@@ -290,17 +324,20 @@ class FleetEngine {
   /// per tick) the cached index; -1 when the batch has no entry.
   int64_t LookupBatchPos(const ReadingBatch& batch, int id, bool* rebuilt);
 
-  /// Flat replica of KalmanFilter::Predict for one lane, into the
-  /// group's scratch: sx = phi x and, unless `armed` (the frozen cycle
-  /// needs no covariance arithmetic), sp2 = phi P phi^T + Q. Commits
-  /// nothing; false when the prediction is non-finite.
-  bool PredictLane(Group& g, size_t lane, bool armed);
-
-  /// Max-abs deviation of H sx from the lane's reading this tick.
-  double LaneDeviation(const Group& g, size_t lane) const;
-
-  /// Commits PredictLane's scratch into the lane.
-  void CommitPredict(Group& g, size_t lane, bool armed);
+  /// The lane body on state dimension N (lane_kernel.h; N = 0 is a
+  /// runtime n): the flat KalmanFilter::Predict replica into `s`, which
+  /// commits nothing and is false when the prediction is non-finite;
+  /// the max-abs deviation of H s.x from this tick's reading; and the
+  /// commit of `s` into the lane.
+  template <size_t N>
+  static bool PredictLane(const Group& g, size_t lane, bool armed,
+                          lane::Scratch<N>* s);
+  template <size_t N>
+  static double LaneDeviation(const Group& g, size_t lane,
+                              const lane::Scratch<N>& s);
+  template <size_t N>
+  static void CommitPredict(Group& g, size_t lane, bool armed,
+                            const lane::Scratch<N>& s);
 
   /// Accrues one suppressed tick's energy, reading count and trace.
   void AccountSuppressed(Group& g, size_t lane, int64_t tick,
@@ -309,15 +346,19 @@ class FleetEngine {
   /// Ticks one resident lane at `lane` in group `gi`: flat suppressed
   /// predict or spill. Sets `*spilled` when the lane was removed (the
   /// caller must re-run the same index).
+  template <size_t N>
   Status TickLane(int group_index, size_t lane, int64_t tick,
-                  bool* spilled);
+                  lane::Scratch<N>* s, bool* spilled);
 
-  /// Ticks every lane of group `gi`. The dominant case — armed,
-  /// corrected, no heartbeat due, deviation inside delta — runs inline
-  /// here; everything exceptional falls back to TickLane, which
+  /// Ticks every lane of group `gi`, dispatching once on the group's
+  /// state dimension. The dominant cases — no heartbeat due, the armed
+  /// frozen-gain or the tracking-mode predict, deviation inside delta —
+  /// run inline; everything exceptional falls back to TickLane, which
   /// recomputes from the untouched lane state (bit-exact: nothing is
   /// committed before the fallback decision).
   Status TickGroupLanes(int group_index, int64_t tick);
+  template <size_t N>
+  Status TickGroupLanesN(int group_index, int64_t tick);
 
   ServerNode* server_;
   Channel* channel_;

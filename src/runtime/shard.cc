@@ -273,54 +273,38 @@ Status StreamShard::ReconfigureSources(
   return Status::OK();
 }
 
-Status StreamShard::ProcessTick(int64_t tick,
-                                const std::map<int, Vector>& readings) {
-  const bool timed = obs_sink_ != nullptr && obs_sink_->options().record_timing;
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point();
+Status StreamShard::ResolveTick(const std::map<int, Vector>& readings) {
   if (fleet_ != nullptr) {
     DKF_RETURN_IF_ERROR(fleet_->ResolveReadings(readings));
   } else {
     DKF_RETURN_IF_ERROR(ResolveSourceReadings(readings));
   }
-  DKF_RETURN_IF_ERROR(fusion_.ResolveReadings(readings));
-  return RunTick(tick, timed, start);
+  return fusion_.ResolveReadings(readings);
 }
 
-Status StreamShard::ProcessTick(int64_t tick, const ReadingBatch& batch) {
-  if (fleet_ == nullptr) {
-    if (batch.ids.size() != batch.values.size()) {
-      return Status::InvalidArgument(
-          StrFormat("reading batch has %zu ids but %zu values",
-                    batch.ids.size(), batch.values.size()));
-    }
-    // Per-source fallback: project this shard's slice of the batch into
-    // the map form the per-source path resolves.
-    std::map<int, Vector> readings;
+Status StreamShard::ResolveTick(const ReadingBatch& batch) {
+  if (batch.ids.size() != batch.values.size()) {
+    return Status::InvalidArgument(
+        StrFormat("reading batch has %zu ids but %zu values",
+                  batch.ids.size(), batch.values.size()));
+  }
+  // Project the slice of the batch that map readers resolve: every owned
+  // id on the per-source path, only fusion members (which never batch
+  // into fleet lanes) when the fleet resolves the batch itself.
+  batch_slice_.clear();
+  const bool fused = fusion_.active();
+  if (fleet_ == nullptr || fused) {
     for (size_t i = 0; i < batch.ids.size(); ++i) {
-      if (sources_.contains(batch.ids[i]) ||
-          fusion_.owns_member(batch.ids[i])) {
-        readings.emplace(batch.ids[i], batch.values[i]);
+      const int id = batch.ids[i];
+      if ((fused && fusion_.owns_member(id)) ||
+          (fleet_ == nullptr && sources_.contains(id))) {
+        batch_slice_.emplace(id, batch.values[i]);
       }
     }
-    return ProcessTick(tick, readings);
   }
-  const bool timed = obs_sink_ != nullptr && obs_sink_->options().record_timing;
-  const auto start = timed ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point();
+  if (fleet_ == nullptr) return ResolveTick(batch_slice_);
   DKF_RETURN_IF_ERROR(fleet_->ResolveReadings(batch));
-  // Fusion members never batch into fleet lanes: project their slice of
-  // the batch into the map form the fusion engine resolves.
-  std::map<int, Vector> fused_readings;
-  if (fusion_.active()) {
-    for (size_t i = 0; i < batch.ids.size(); ++i) {
-      if (fusion_.owns_member(batch.ids[i])) {
-        fused_readings.emplace(batch.ids[i], batch.values[i]);
-      }
-    }
-  }
-  DKF_RETURN_IF_ERROR(fusion_.ResolveReadings(fused_readings));
-  return RunTick(tick, timed, start);
+  return fusion_.ResolveReadings(batch_slice_);
 }
 
 Status StreamShard::ResolveSourceReadings(
@@ -343,8 +327,10 @@ Status StreamShard::ResolveSourceReadings(
   return Status::OK();
 }
 
-Status StreamShard::RunTick(int64_t tick, bool timed,
-                            std::chrono::steady_clock::time_point start) {
+Status StreamShard::RunTick(int64_t tick) {
+  const bool timed = obs_sink_ != nullptr && obs_sink_->options().record_timing;
+  const auto start = timed ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point();
   // Fused posteriors and mirrors predict before the channel drains its
   // in-flight queue, so delayed fused deliveries land on post-predict
   // state — the same ordering ServerNode::TickAll gives the per-source
@@ -370,6 +356,8 @@ Status StreamShard::RunTick(int64_t tick, bool timed,
   // Fusion members run after the plain sources, in ascending (group,
   // member) order — one deterministic source order per shard tick.
   DKF_RETURN_IF_ERROR(fusion_.ProcessReadings(tick, &channel_));
+  // Every staged reading has been consumed; the slice is per tick.
+  batch_slice_.clear();
   // Serve this shard's subscriptions while still on the worker thread:
   // the per-shard index makes notification fan-out scale with shards
   // exactly like the protocol work does.

@@ -35,10 +35,10 @@ class CheckpointAccess;  // src/checkpoint/: snapshot save/restore plumbing
 /// coordination (query registry, aggregate bindings, stats merging)
 /// lives at the engine.
 ///
-/// Thread contract: ProcessTick is called from a worker thread, one
-/// call per shard per engine tick, never concurrently with any other
-/// method of the same shard. Every other method runs on the engine's
-/// driver thread between ticks.
+/// Thread contract: RunTick is called from a worker thread, one call
+/// per shard per engine tick, never concurrently with any other method
+/// of the same shard. Every other method — ResolveTick included — runs
+/// on the engine's driver thread between ticks.
 class StreamShard {
  public:
   /// `channel` should have per_source_rng set (the engine forces it) so
@@ -111,17 +111,24 @@ class StreamShard {
   /// fleet-lane spill), so a cohort-stable allocation costs nothing.
   Status ReconfigureSources(const std::vector<std::pair<int, double>>& deltas);
 
-  /// Runs one protocol tick over this shard's sources. `readings` is
-  /// the engine's full batch; entries for other shards' sources are
-  /// ignored. Every owned source and fusion member must have a reading
-  /// of its model's width; a malformed batch is rejected before any
-  /// filter state moves.
-  Status ProcessTick(int64_t tick, const std::map<int, Vector>& readings);
+  /// Stages one tick's readings for RunTick. `readings` is the engine's
+  /// full batch; entries for other shards' sources are ignored. Every
+  /// owned source and fusion member must have a reading of its model's
+  /// width. Moves no filter state, so the engine resolves every shard
+  /// before any shard runs and a malformed tick is rejected as a whole.
+  /// `readings` must outlive the RunTick that follows.
+  Status ResolveTick(const std::map<int, Vector>& readings);
 
   /// Allocation-light variant for huge fleets: readings come as parallel
   /// id/value arrays (see ReadingBatch). Entries for other shards'
   /// sources are ignored.
-  Status ProcessTick(int64_t tick, const ReadingBatch& batch);
+  Status ResolveTick(const ReadingBatch& batch);
+
+  /// Runs one protocol tick over this shard's sources on the readings
+  /// the last ResolveTick staged: fusion predict, the protocol tick, the
+  /// fused members, then serve the shard's subscriptions and record
+  /// per-tick observability.
+  Status RunTick(int64_t tick);
 
   Result<Vector> Answer(int source_id) const;
   Result<ServerNode::ConfidentAnswer> AnswerWithConfidence(
@@ -232,13 +239,6 @@ class StreamShard {
   /// model's width. Moves no state.
   Status ResolveSourceReadings(const std::map<int, Vector>& readings);
 
-  /// Shared tail of both ProcessTick overloads, once every reading is
-  /// resolved: fusion predict, the protocol tick, the fused members,
-  /// then serve the shard's subscriptions and record per-tick
-  /// observability.
-  Status RunTick(int64_t tick, bool timed,
-                 std::chrono::steady_clock::time_point start);
-
   /// The fleet lane `source_id` is folded into; nullptr when the source
   /// is not batch-resident (or the batched fleet is off).
   const FleetEngine::LaneRef* ResidentLane(int source_id) const {
@@ -256,11 +256,15 @@ class StreamShard {
   /// This tick's per-source work in ascending id order, staged by
   /// ResolveSourceReadings (reused across ticks to keep its capacity).
   std::vector<std::pair<SourceNode*, const Vector*>> staged_sources_;
+  /// This shard's slice of a ReadingBatch in map form, for the readers
+  /// that resolve maps (the per-source path, fusion members); kept from
+  /// ResolveTick until RunTick has consumed the readings staged into it.
+  std::map<int, Vector> batch_slice_;
   /// Smoothing factor currently installed at each node (tracked so an
   /// unrelated reconfiguration does not restart KF_c).
   std::map<int, std::optional<double>> installed_smoothing_;
   /// This shard's slice of the serving front-end: subscriptions against
-  /// owned sources, evaluated at the tail of ProcessTick (still on the
+  /// owned sources, evaluated at the tail of RunTick (still on the
   /// worker thread — the per-shard index is what scales the fan-out).
   SubscriptionEngine serve_;
   /// This shard's fusion groups (src/fusion/). Fused uplink traffic

@@ -411,21 +411,10 @@ Status ShardedStreamEngine::ProcessTick(const std::map<int, Vector>& readings) {
                   readings.size(), registered_.size(),
                   fusion_members_.size()));
   }
-  tick_tasks_.clear();
-  tick_tasks_.reserve(shards_.size());
-  const int64_t tick = ticks_;
   for (auto& shard : shards_) {
-    StreamShard* raw = shard.get();
-    tick_tasks_.push_back(
-        [raw, tick, &readings] { return raw->ProcessTick(tick, readings); });
+    DKF_RETURN_IF_ERROR(shard->ResolveTick(readings));
   }
-  DKF_RETURN_IF_ERROR(pool_.RunAll(tick_tasks_));
-  // Aggregate subscriptions need every shard's partial sums, so their
-  // serve pass runs on the driver after the tick joins.
-  DKF_RETURN_IF_ERROR(aggregate_serve_.EndTick(tick, EngineAnswers(*this)));
-  DKF_RETURN_IF_ERROR(MaybeRunGovernor());
-  ++ticks_;
-  return Status::OK();
+  return RunResolvedTick();
 }
 
 Status ShardedStreamEngine::ProcessTick(const ReadingBatch& batch) {
@@ -440,15 +429,23 @@ Status ShardedStreamEngine::ProcessTick(const ReadingBatch& batch) {
                   batch.ids.size(), registered_.size(),
                   fusion_members_.size()));
   }
+  for (auto& shard : shards_) {
+    DKF_RETURN_IF_ERROR(shard->ResolveTick(batch));
+  }
+  return RunResolvedTick();
+}
+
+Status ShardedStreamEngine::RunResolvedTick() {
   tick_tasks_.clear();
   tick_tasks_.reserve(shards_.size());
   const int64_t tick = ticks_;
   for (auto& shard : shards_) {
     StreamShard* raw = shard.get();
-    tick_tasks_.push_back(
-        [raw, tick, &batch] { return raw->ProcessTick(tick, batch); });
+    tick_tasks_.push_back([raw, tick] { return raw->RunTick(tick); });
   }
   DKF_RETURN_IF_ERROR(pool_.RunAll(tick_tasks_));
+  // Aggregate subscriptions need every shard's partial sums, so their
+  // serve pass runs on the driver after the tick joins.
   DKF_RETURN_IF_ERROR(aggregate_serve_.EndTick(tick, EngineAnswers(*this)));
   DKF_RETURN_IF_ERROR(MaybeRunGovernor());
   ++ticks_;

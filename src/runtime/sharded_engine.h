@@ -169,7 +169,9 @@ class ShardedStreamEngine {
   Result<AggregateAnswer> AnswerAggregateWithStatus(int aggregate_id) const;
 
   /// Advances one tick across all shards in parallel. `readings` must
-  /// contain exactly one entry per registered source.
+  /// contain exactly one entry per registered source. Every shard
+  /// resolves its slice before any shard runs, so a malformed tick is
+  /// rejected as a whole: no shard's state moves and ticks() stays put.
   Status ProcessTick(const std::map<int, Vector>& readings);
 
   /// Allocation-light variant for huge fleets: one tick with readings
@@ -320,6 +322,11 @@ class ShardedStreamEngine {
   /// Re-primes the aggregate slice's serve value caches (the last step
   /// of a checkpoint restore; the caches are not serialized).
   Status RefreshServeCaches();
+
+  /// The run phase of both ProcessTick overloads, once every shard has
+  /// resolved its slice: one fork-join of the shard ticks, then the
+  /// aggregate serve pass and the governor on the driver.
+  Status RunResolvedTick();
 
   /// Runs one governor epoch when the tick that just finished completes
   /// an epoch window: samples every source's uplink counters, plans the

@@ -368,8 +368,15 @@ TEST(CheckpointChaosTest, SharedRngSnapshotRejectedByShardedRestore) {
   options.channel.seed = 5;
   options.channel.drop_probability = 0.2;
   options.channel.per_source_rng = false;
+  // A tight query makes the source transmit, so every send draws from
+  // the shared fault stream the restore must carry over.
+  ContinuousQuery query;
+  query.id = 1;
+  query.source_id = 1;
+  query.precision = 0.5;
   StreamManager manager(options);
   ASSERT_TRUE(manager.RegisterSource(1, ScalarModel()).ok());
+  ASSERT_TRUE(manager.SubmitQuery(query).ok());
   std::map<int, Vector> reading;
   Rng rng(3);
   double value = 0.0;
@@ -393,7 +400,10 @@ TEST(CheckpointChaosTest, SharedRngSnapshotRejectedByShardedRestore) {
   double value2 = 0.0;
   StreamManager uninterrupted(options);
   ASSERT_TRUE(uninterrupted.RegisterSource(1, ScalarModel()).ok());
+  ASSERT_TRUE(uninterrupted.SubmitQuery(query).ok());
+  int64_t dropped_at_save = 0;
   for (int64_t t = 0; t < 50; ++t) {
+    if (t == 25) dropped_at_save = uninterrupted.uplink_traffic().dropped;
     value2 += rng2.Gaussian(0.0, 1.0);
     reading[1] = Vector{value2};
     ASSERT_TRUE(uninterrupted.ProcessTick(reading).ok());
@@ -406,6 +416,9 @@ TEST(CheckpointChaosTest, SharedRngSnapshotRejectedByShardedRestore) {
   }
   EXPECT_EQ(restored.uplink_traffic().dropped,
             uninterrupted.uplink_traffic().dropped);
+  // The stream must actually have been drawn from after the save, or
+  // the comparison above proves nothing.
+  EXPECT_GT(uninterrupted.uplink_traffic().dropped, dropped_at_save);
 }
 
 TEST(CheckpointChaosTest, SharedRngFusionAndServeRoundTripThroughManager) {
