@@ -1,7 +1,8 @@
 // Ablation A2: sensitivity of the DKF to misspecified measurement-noise
 // covariance R, and the recovery delivered by innovation-based adaptive
 // estimation (§6 future-work item: "robustness of the KF when the
-// statistics of the noise are not known").
+// statistics of the noise are not known"), here by the protocol's own
+// NoiseAdapter servo (docs/adaptive.md).
 
 #include <cmath>
 #include <cstdio>
@@ -12,7 +13,7 @@
 #include "common/string_util.h"
 #include "common/table.h"
 #include "filter/kalman_filter.h"
-#include "filter/noise_estimation.h"
+#include "filter/adaptive_noise.h"
 #include "models/model_factory.h"
 
 namespace {
@@ -22,32 +23,31 @@ using namespace dkf;
 constexpr double kTrueNoiseStddev = 1.0;
 
 /// Runs a constant-signal tracking task with the filter's R set to
-/// `assumed_r`; optionally adapts R online. Returns steady-state mean
-/// absolute estimation error.
+/// `assumed_r`; optionally adapts R online with a NoiseAdapter fed every
+/// correction. Returns steady-state mean absolute estimation error.
 double RunTracking(double assumed_r, bool adapt) {
   ModelNoise noise;
   noise.process_variance = 1e-4;
   noise.measurement_variance = assumed_r;
-  auto filter = MakeConstantModel(1, noise).value().MakeFilter().value();
+  const StateModel model = MakeConstantModel(1, noise).value();
+  auto filter = model.MakeFilter().value();
 
-  AdaptiveNoiseOptions adaptive_options;
-  adaptive_options.window = 128;
-  adaptive_options.min_samples = 64;
-  auto estimator = AdaptiveNoiseEstimator::Create(adaptive_options).value();
+  AdaptiveNoiseConfig config;
+  config.enabled = adapt;
+  // Wide enough for the +-4-decade R sweep in both directions.
+  config.r_scale_floor = 1e-5;
+  config.r_scale_ceiling = 1e5;
+  NoiseAdapter adapter = NoiseAdapter::Create(config, model).value();
 
   Rng rng(77);
   double err = 0.0;
   int count = 0;
   for (int i = 0; i < 4000; ++i) {
     (void)filter.Predict();
-    const Matrix hph =
-        filter.InnovationCovariance() - filter.measurement_noise();
     const Vector z{5.0 + rng.Gaussian(0.0, kTrueNoiseStddev)};
-    estimator.Observe(z - filter.PredictedMeasurement(), hph);
+    (void)adapter.OnCorrection(filter, z, i);
     (void)filter.Correct(z);
-    if (adapt && i % 64 == 63 && estimator.samples() >= 64) {
-      (void)estimator.Apply(&filter);
-    }
+    (void)adapter.InstallInto(&filter);
     if (i > 2000) {
       err += std::fabs(filter.state()[0] - 5.0);
       ++count;

@@ -101,7 +101,7 @@ else
              governor_test governor_chaos_test \
              adaptive_property_test adaptive_scenarios_test \
              fusion_engine_test fusion_chaos_test fusion_checkpoint_test \
-             checkpoint_chaos_test
+             checkpoint_chaos_test snapshot_io_test snapshot_mutation_test
   ./build-asan/tests/chaos_test
   ./build-asan/tests/channel_test
   ./build-asan/tests/stream_manager_test
@@ -139,6 +139,10 @@ else
   # Snapshot capture/restore through the one checkpoint path, including
   # the shared-RNG stream a StreamManager may keep.
   ./build-asan/tests/checkpoint_chaos_test
+  # The snapshot decoder parses untrusted bytes: the golden layout, plus
+  # every single-bit and whole-byte flip and every truncation of it.
+  ./build-asan/tests/snapshot_io_test
+  ./build-asan/tests/snapshot_mutation_test
 fi
 
 if [[ "${DKF_COVERAGE:-1}" == "0" ]]; then
@@ -157,7 +161,7 @@ else
              governor_test governor_chaos_test \
              kalman_filter_test fast_path_test extended_kalman_filter_test \
              steady_state_test recursive_least_squares_test \
-             noise_estimation_test rts_smoother_test \
+             rts_smoother_test \
              unscented_kalman_filter_test \
              adaptive_property_test adaptive_scenarios_test \
              fusion_engine_test fusion_chaos_test fusion_checkpoint_test
@@ -173,7 +177,7 @@ else
            governor_test governor_chaos_test \
            kalman_filter_test fast_path_test extended_kalman_filter_test \
            steady_state_test recursive_least_squares_test \
-           noise_estimation_test rts_smoother_test \
+           rts_smoother_test \
            unscented_kalman_filter_test \
            adaptive_property_test adaptive_scenarios_test \
            fusion_engine_test fusion_chaos_test fusion_checkpoint_test; do

@@ -76,7 +76,7 @@ struct ServeSubscriptionSnapshot {
   bool fired = false;
 };
 
-/// Serving front-end state (src/serve/, snapshot v2): the standing
+/// Serving front-end state (src/serve/): the standing
 /// registrations, the undrained notification buffer, the delivery
 /// cursor, and the lifetime counters. Shard-layout-free like the rest
 /// of the snapshot: subscriptions and buffered notifications fan back
@@ -100,7 +100,7 @@ struct ServeSnapshot {
   int64_t affected = 0;
 };
 
-/// One fusion group and its members (src/fusion/, snapshot v5): the
+/// One fusion group and its members (src/fusion/): the
 /// engine-side running state (posterior, version clock, member mirrors
 /// and protocol cursors) plus each member's channel lane — members
 /// share the per-source uplink fault-stream namespace with plain
@@ -120,7 +120,7 @@ struct GovernorSourceSnapshot {
   DeltaGovernor::SourceState state;
 };
 
-/// Delta-governor state (src/governor/, snapshot v3): the configured
+/// Delta-governor state (src/governor/): the configured
 /// control law plus every source's EWMA rates and sensitivity fit, so a
 /// restore mid-epoch resumes the exact same delta schedule. The epoch
 /// cadence itself is stateless (derived from the tick count), so no
@@ -175,16 +175,13 @@ struct EngineSnapshot {
 
   ObsSnapshot obs;
 
-  /// Serving front-end (empty when decoded from a v1 file, which
-  /// predates src/serve/).
+  /// Serving front-end.
   ServeSnapshot serve;
 
-  /// Delta governor (disabled when decoded from a v1/v2 file, which
-  /// predate src/governor/).
+  /// Delta governor.
   GovernorSnapshot governor;
 
-  /// Fusion groups and their standing fused queries (empty when decoded
-  /// from a v1-v4 file, which predate src/fusion/). Groups ascending by
+  /// Fusion groups and their standing fused queries. Groups ascending by
   /// group id, queries ascending by query id.
   std::vector<FusionGroupSnapshot> fusion_groups;
   std::vector<FusedQuery> fused_queries;

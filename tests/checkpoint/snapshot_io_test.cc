@@ -1,7 +1,7 @@
 // Wire-format tests for the snapshot codec (docs/checkpoint.md): field
-// round-trips including raw-bit NaN payloads, header validation (magic,
-// version, checksum, length), truncation and trailing-garbage
-// rejection, and the binary primitives underneath.
+// round-trips including raw-bit NaN payloads, the golden v5 byte layout,
+// header validation (magic, version, checksum, length), truncation and
+// trailing-garbage rejection, and the binary primitives underneath.
 
 #include <cstring>
 #include <limits>
@@ -13,259 +13,20 @@
 #include "checkpoint/snapshot.h"
 #include "checkpoint/snapshot_io.h"
 #include "common/binary_io.h"
-#include "common/rng.h"
-#include "models/model_factory.h"
+#include "snapshot_fixture.h"
 
 namespace dkf {
 namespace {
+
+using testing_fixture::BuildSnapshot;
+using testing_fixture::GoldenSnapshot;
+using testing_fixture::kGoldenSnapshotBytes;
+using testing_fixture::kGoldenSnapshotFnv;
 
 uint64_t BitsOf(double value) {
   uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
   return bits;
-}
-
-StateModel ScalarModel() {
-  ModelNoise noise;
-  noise.process_variance = 0.05;
-  noise.measurement_variance = 0.05;
-  return MakeLinearModel(1, 1.0, noise).value();
-}
-
-KalmanFilter::FullState SmallFullState(double x0) {
-  KalmanFilter::FullState state;
-  state.x = Vector{x0};
-  state.p = Matrix(1, 1);
-  state.p(0, 0) = 0.25;
-  state.step = 42;
-  state.last_innovation = Vector{-0.125};
-  state.process_noise = Matrix(1, 1);
-  state.process_noise(0, 0) = 0.05;
-  state.measurement_noise = Matrix(1, 1);
-  state.measurement_noise(0, 0) = 0.05;
-  state.phase = 1;
-  state.ss_mode = 2;  // armed fast path
-  state.ss_streak1 = 7;
-  state.ss_streak2 = 3;
-  state.predicts_since_correct = 5;
-  state.ss_have_prev = 1;
-  state.ss_prev_post[0] = Matrix(1, 1);
-  state.ss_prev_post[0](0, 0) = 0.2;
-  state.ss_prev_gain = Matrix(1, 1);
-  state.ss_prev_gain(0, 0) = 0.6;
-  state.ss_period = 2;
-  state.ss_idx = 1;
-  state.ss_gain[0] = Matrix(1, 1);
-  state.ss_gain[0](0, 0) = 0.61;
-  state.ss_prior_p[1] = Matrix(1, 1);
-  state.ss_prior_p[1](0, 0) = 0.3;
-  return state;
-}
-
-/// A snapshot exercising every optional branch of the format: faults,
-/// per-source RNG + Gilbert–Elliott state, in-flight messages with a
-/// NaN (corrupted) payload, deferred ACKs, smoothing, queries,
-/// aggregates, and a retained trace.
-EngineSnapshot BuildSnapshot() {
-  EngineSnapshot snapshot;
-  snapshot.energy.instructions_per_bit = 900.0;
-  snapshot.channel.drop_probability = 0.1;
-  snapshot.channel.seed = 77;
-  snapshot.channel.per_source_rng = true;
-  snapshot.channel.fault.gilbert_elliott =
-      GilbertElliottLoss{0.05, 0.3, 0.0, 1.0};
-  snapshot.channel.fault.delay = DelayModel{0, 2};
-  snapshot.channel.fault.outages.push_back(OutageWindow{100, 115});
-  snapshot.channel.fault.ack_loss_probability = 0.05;
-  snapshot.channel.fault.corruption_probability = 0.03;
-  snapshot.channel.fault.active_until = 280;
-  snapshot.default_delta = 5.0;
-  snapshot.protocol.heartbeat_interval = 3;
-  snapshot.protocol.staleness_budget = 5;
-  snapshot.num_shards = 3;
-  snapshot.ticks = 110;
-  snapshot.control_messages = 12;
-
-  SourceSnapshot plain;
-  plain.source_id = 1;
-  plain.model = ScalarModel();
-  plain.node.delta = 1.5;
-  plain.node.mirror = SmallFullState(2.0);
-  plain.node.readings = 110;
-  plain.node.updates_sent = 31;
-  plain.node.next_sequence = 40;
-  plain.node.pending = true;
-  plain.node.pending_since = 104;
-  plain.node.first_resync_sequence = 38;
-  plain.node.resync_attempts = 2;
-  plain.node.last_resync_tick = 108;
-  plain.node.last_send_tick = 108;
-  plain.node.faults.divergence_events = 3;
-  plain.link.last_sequence = 37;
-  plain.link.last_valid_tick = 99;
-  plain.link.last_resync_tick = 80;
-  plain.link.last_update_tick = 99;
-  plain.link.predictor = SmallFullState(1.9);
-  plain.channel.stats.messages = 45;
-  plain.channel.stats.bytes = 2000;
-  plain.channel.stats.dropped = 6;
-  plain.channel.has_rng = true;
-  Rng rng(7);
-  (void)rng.Gaussian(0.0, 1.0);  // cached-gaussian branch
-  plain.channel.rng = rng.SaveState();
-  plain.channel.has_ge_state = true;
-  plain.channel.ge_bad = true;
-  Channel::InFlightEntry corrupted;
-  corrupted.due = 111;
-  corrupted.corrupted = true;
-  corrupted.message.type = MessageType::kMeasurement;
-  corrupted.message.source_id = 1;
-  corrupted.message.tick = 109;
-  corrupted.message.payload =
-      Vector{std::numeric_limits<double>::quiet_NaN()};
-  corrupted.message.sequence = 39;
-  corrupted.message.checksum = 0xDEADBEEF;
-  plain.channel.in_flight.push_back(corrupted);
-  Channel::InFlightEntry resync;
-  resync.due = 112;
-  resync.ack_lost = true;
-  resync.message.type = MessageType::kResync;
-  resync.message.source_id = 1;
-  resync.message.tick = 110;
-  resync.message.sequence = 40;
-  resync.message.resync_state = Vector{2.25};
-  resync.message.resync_covariance = Matrix(1, 1);
-  resync.message.resync_covariance(0, 0) = 0.5;
-  resync.message.resync_step = 108;
-  plain.channel.in_flight.push_back(resync);
-  plain.channel.deferred_acks = {36, 37};
-  snapshot.sources.push_back(plain);
-
-  SourceSnapshot smoothed;
-  smoothed.source_id = 4;
-  smoothed.model = ScalarModel();
-  smoothed.node.delta = 2.0;
-  smoothed.node.smoothing_factor = 0.5;
-  smoothed.node.smoothing_measurement_variance = 0.8;
-  smoothed.node.mirror = SmallFullState(-1.0);
-  smoothed.node.smoother_filter = SmallFullState(-0.9);
-  smoothed.node.smoother_count = 110;
-  smoothed.link.predictor = SmallFullState(-1.0);
-  snapshot.sources.push_back(smoothed);
-
-  snapshot.server_faults.resyncs_applied = 9;
-  snapshot.server_faults.rejected_corrupt = 4;
-  snapshot.has_shared_rng = true;
-  snapshot.shared_rng = Rng(13).SaveState();
-
-  ContinuousQuery query;
-  query.id = 1;
-  query.source_id = 1;
-  query.precision = 1.5;
-  query.description = "point query";
-  snapshot.queries.push_back(query);
-  ContinuousQuery smoothed_query;
-  smoothed_query.id = 100;
-  smoothed_query.source_id = 4;
-  smoothed_query.precision = 2.0;
-  smoothed_query.smoothing_factor = 0.5;
-  snapshot.queries.push_back(smoothed_query);
-
-  AggregateSnapshot aggregate;
-  aggregate.id = 7;
-  aggregate.source_ids = {1, 4};
-  aggregate.synthetic_query_ids = {(1 << 24) + 7 * 1024,
-                                   (1 << 24) + 7 * 1024 + 1};
-  snapshot.aggregates.push_back(aggregate);
-
-  snapshot.obs.enabled = true;
-  snapshot.obs.options.ring_capacity = 1 << 10;
-  TraceEvent event;
-  event.step = 109;
-  event.source_id = 1;
-  event.kind = TraceEventKind::kDivergence;
-  event.actor = TraceActor::kSource;
-  event.value = 3.5;
-  event.detail = 39;
-  snapshot.obs.events.push_back(event);
-  snapshot.obs.kind_counts[static_cast<size_t>(TraceEventKind::kSuppress)] =
-      800;
-  snapshot.obs.kind_counts[static_cast<size_t>(
-      TraceEventKind::kDivergence)] = 1;
-  snapshot.obs.dropped = 0;
-  snapshot.obs.gauges["channel.in_flight"] = 2.0;
-
-  snapshot.serve.options.max_buffered_notifications = 4096;
-  ServeSubscriptionSnapshot band;
-  band.spec.id = 3;
-  band.spec.kind = SubscriptionKind::kBandAlert;
-  band.spec.source_id = 1;
-  band.spec.lo = -1.0;
-  band.spec.hi = 2.5;
-  band.spec.uncertainty_ceiling = 0.75;
-  band.spec.description = "band over source 1";
-  band.inside = true;
-  band.fired = true;
-  snapshot.serve.subscriptions.push_back(band);
-  ServeSubscriptionSnapshot agg_sub;
-  agg_sub.spec.id = 9;
-  agg_sub.spec.kind = SubscriptionKind::kAggregate;
-  agg_sub.spec.aggregate_id = 7;
-  snapshot.serve.subscriptions.push_back(agg_sub);
-  NotificationBatch batch;
-  batch.step = 109;
-  Notification agg_update;
-  agg_update.step = 109;
-  agg_update.source_id = -8;  // AggregateSourceKey(7)
-  agg_update.subscription_id = 9;
-  agg_update.kind = NotificationKind::kAggregateUpdate;
-  agg_update.value = 3.25;
-  batch.notifications.push_back(agg_update);
-  Notification band_exit;
-  band_exit.step = 109;
-  band_exit.source_id = 1;
-  band_exit.subscription_id = 3;
-  band_exit.kind = NotificationKind::kBandExit;
-  band_exit.value = 2.75;
-  band_exit.aux = 2.5;
-  batch.notifications.push_back(band_exit);
-  snapshot.serve.pending.push_back(batch);
-  snapshot.serve.drained_through_step = 108;
-  snapshot.serve.notifications = 61;
-  snapshot.serve.dropped = 2;
-  snapshot.serve.touched = 400;
-  snapshot.serve.affected = 59;
-
-  snapshot.governor.enabled = true;
-  snapshot.governor.options.enabled = true;
-  snapshot.governor.options.epoch_ticks = 16;
-  snapshot.governor.options.budget_bytes_per_tick = 150.0;
-  snapshot.governor.options.delta_floor = 0.05;
-  snapshot.governor.options.delta_ceiling = 64.0;
-  snapshot.governor.options.max_step_ratio = 2.0;
-  snapshot.governor.options.dead_band = 0.10;
-  snapshot.governor.options.ewma_alpha = 0.35;
-  snapshot.governor.options.process_noise = 0.04;
-  snapshot.governor.options.measurement_noise = 0.20;
-  snapshot.governor.epochs = 6;
-  GovernorSourceSnapshot measured;
-  measured.source_id = 1;
-  measured.state.ewma_bytes = 87.5;
-  measured.state.ewma_updates = 2.75;
-  measured.state.last_bytes = 9800;
-  measured.state.last_updates = 310;
-  measured.state.intensity = 196.875;
-  measured.state.variance = 12.5;
-  measured.state.measured = true;
-  snapshot.governor.states.push_back(measured);
-  GovernorSourceSnapshot frozen;
-  frozen.source_id = 4;
-  frozen.state.last_bytes = 450;
-  frozen.state.last_updates = 12;
-  frozen.state.frozen = true;
-  frozen.state.held_delta = 2.5;
-  snapshot.governor.states.push_back(frozen);
-  return snapshot;
 }
 
 void ExpectFullStateEq(const KalmanFilter::FullState& a,
@@ -432,75 +193,6 @@ TEST(SnapshotIoTest, RoundTripPreservesEveryField) {
               original.governor.states[1].state);
 }
 
-TEST(SnapshotIoTest, ReadsVersion1FilesWithoutServeSection) {
-  EngineSnapshot snapshot = BuildSnapshot();
-  snapshot.serve = ServeSnapshot();  // v1 files predate the serving layer
-  snapshot.governor = GovernorSnapshot();  // ...and the delta governor
-  auto encoded_or = EncodeSnapshotForVersion(snapshot, 1);
-  ASSERT_TRUE(encoded_or.ok()) << encoded_or.status().message();
-  auto decoded_or = DecodeSnapshot(encoded_or.value());
-  ASSERT_TRUE(decoded_or.ok()) << decoded_or.status().message();
-  EXPECT_EQ(decoded_or.value().ticks, 110);
-  EXPECT_TRUE(decoded_or.value().serve.subscriptions.empty());
-  EXPECT_TRUE(decoded_or.value().serve.pending.empty());
-  EXPECT_EQ(decoded_or.value().serve.drained_through_step, -1);
-  EXPECT_FALSE(decoded_or.value().governor.enabled);
-  EXPECT_FALSE(decoded_or.value().protocol.adaptive.enabled);
-}
-
-TEST(SnapshotIoTest, ReadsVersion2FilesWithoutGovernorSection) {
-  EngineSnapshot snapshot = BuildSnapshot();
-  snapshot.governor = GovernorSnapshot();  // v2 predates the governor
-  auto encoded_or = EncodeSnapshotForVersion(snapshot, 2);
-  ASSERT_TRUE(encoded_or.ok()) << encoded_or.status().message();
-  auto decoded_or = DecodeSnapshot(encoded_or.value());
-  ASSERT_TRUE(decoded_or.ok()) << decoded_or.status().message();
-  const EngineSnapshot& decoded = decoded_or.value();
-  EXPECT_EQ(decoded.ticks, 110);
-  // The serve section (a v2 feature) still decodes in full.
-  EXPECT_EQ(decoded.serve.subscriptions.size(), 2u);
-  EXPECT_EQ(decoded.serve.notifications, 61);
-  // The governor section defaults to disabled with empty state.
-  EXPECT_FALSE(decoded.governor.enabled);
-  EXPECT_TRUE(decoded.governor.states.empty());
-  EXPECT_EQ(decoded.governor.epochs, 0);
-}
-
-TEST(SnapshotIoTest, ReadsVersion3FilesWithoutAdaptiveFields) {
-  // A v3 target drops the adaptive configuration and every adapter
-  // vector, even when the source snapshot carries them; the decoded
-  // snapshot comes back adaptation-disabled, everything else intact.
-  EngineSnapshot snapshot = BuildSnapshot();
-  snapshot.protocol.adaptive.enabled = true;
-  snapshot.protocol.adaptive.holdover_gap = 512;
-  snapshot.sources[0].node.adapt = Vector{1.0, 0.5, 0.25};
-  snapshot.sources[0].link.adapt = Vector{1.0, 0.5, 0.25};
-  auto encoded_or = EncodeSnapshotForVersion(snapshot, 3);
-  ASSERT_TRUE(encoded_or.ok()) << encoded_or.status().message();
-  auto decoded_or = DecodeSnapshot(encoded_or.value());
-  ASSERT_TRUE(decoded_or.ok()) << decoded_or.status().message();
-  const EngineSnapshot& decoded = decoded_or.value();
-  EXPECT_EQ(decoded.ticks, 110);
-  EXPECT_FALSE(decoded.protocol.adaptive.enabled);
-  EXPECT_EQ(decoded.protocol.adaptive.holdover_gap,
-            AdaptiveNoiseConfig().holdover_gap);
-  EXPECT_EQ(decoded.sources[0].node.adapt.size(), 0);
-  EXPECT_EQ(decoded.sources[0].link.adapt.size(), 0);
-  // v3 features survive the downgrade untouched.
-  EXPECT_TRUE(decoded.governor.enabled);
-  EXPECT_EQ(decoded.serve.subscriptions.size(), 2u);
-}
-
-TEST(SnapshotIoTest, RejectsEncodingUnsupportedVersions) {
-  EngineSnapshot snapshot = BuildSnapshot();
-  auto too_old = EncodeSnapshotForVersion(snapshot, 0);
-  ASSERT_FALSE(too_old.ok());
-  EXPECT_EQ(too_old.status().code(), StatusCode::kInvalidArgument);
-  auto too_new = EncodeSnapshotForVersion(snapshot, kSnapshotVersion + 1);
-  ASSERT_FALSE(too_new.ok());
-  EXPECT_EQ(too_new.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(SnapshotIoTest, RejectsCorruptGovernorSections) {
   // Out-of-order source ids: the encoder writes whatever it is given,
   // the decoder refuses.
@@ -557,13 +249,35 @@ TEST(SnapshotIoTest, RejectsWrongMagic) {
 }
 
 TEST(SnapshotIoTest, RejectsVersionMismatch) {
-  std::string bytes = EncodeSnapshot(BuildSnapshot()).value();
-  bytes[8] = static_cast<char>(9);  // version u32 lives at offset 8
-  auto result = DecodeSnapshot(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("unsupported snapshot version"),
-            std::string::npos);
+  // Only kSnapshotVersion loads: retired versions (0, 1, 4) are refused
+  // exactly like future ones (6, 9).
+  for (uint8_t version : {0, 1, 4, 6, 9}) {
+    std::string bytes = EncodeSnapshot(BuildSnapshot()).value();
+    bytes[8] = static_cast<char>(version);  // version u32 lives at offset 8
+    auto result = DecodeSnapshot(bytes);
+    ASSERT_FALSE(result.ok()) << "v" << int{version};
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << "v" << int{version};
+    EXPECT_NE(result.status().message().find("unsupported snapshot version"),
+              std::string::npos)
+        << "v" << int{version};
+  }
+}
+
+TEST(SnapshotIoTest, GoldenBytesPinTheLayout) {
+  auto bytes_or = EncodeSnapshot(GoldenSnapshot());
+  ASSERT_TRUE(bytes_or.ok()) << bytes_or.status().message();
+  const std::string& bytes = bytes_or.value();
+  EXPECT_EQ(bytes.size(), kGoldenSnapshotBytes);
+  EXPECT_EQ(Fnv1a64(reinterpret_cast<const uint8_t*>(bytes.data()),
+                    bytes.size()),
+            kGoldenSnapshotFnv);
+  // Decoding the golden image and encoding it again is the identity.
+  auto decoded_or = DecodeSnapshot(bytes);
+  ASSERT_TRUE(decoded_or.ok()) << decoded_or.status().message();
+  auto again_or = EncodeSnapshot(decoded_or.value());
+  ASSERT_TRUE(again_or.ok()) << again_or.status().message();
+  EXPECT_TRUE(again_or.value() == bytes);
 }
 
 TEST(SnapshotIoTest, RejectsChecksumMismatch) {
